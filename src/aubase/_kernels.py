@@ -1,47 +1,16 @@
-"""Numerical hot loops with two interchangeable backends.
+"""Numerical hot loops, vectorized in numpy.
 
-Every kernel exists twice: a vectorized numpy version (``*_numpy``) and a
-numba ``@njit`` version compiled on first use. The public names are bound at
-import time: numba wins when it is importable and the environment variable
-``AUBASE_NO_NUMBA`` is unset/falsy. Both backends stay importable so the
-benchmark suite can compare them on the same inputs.
-
-All kernels are deterministic; backends may differ in the last few ulps
-because summation order differs, never beyond.
+The DWT step and its adjoint, and the pairwise squared distances behind
+every BMU search and density estimate. All kernels are deterministic: the
+same inputs give the same bits on every call.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_ENV_DISABLE = os.environ.get("AUBASE_NO_NUMBA", "").strip().lower()
-USE_NUMBA = HAS_NUMBA and _ENV_DISABLE not in ("1", "true", "yes")
-
-
-# ---------------------------------------------------------------------------
-# single-level periodic DWT step
-# ---------------------------------------------------------------------------
-
-def dwt_level_numpy(x: np.ndarray, h: np.ndarray, g: np.ndarray):
+def dwt_level(x: np.ndarray, h: np.ndarray, g: np.ndarray):
     """One analysis level: periodic extension, filter, downsample by 2.
 
     Returns (approximation, detail), each of length len(x) // 2.
@@ -55,180 +24,25 @@ def dwt_level_numpy(x: np.ndarray, h: np.ndarray, g: np.ndarray):
     return win @ h, win @ g
 
 
-@njit(cache=True)
-def dwt_level_jit(x, h, g):  # pragma: no cover - measured via dispatch
-    n = x.shape[0]
-    taps = h.shape[0]
-    half = n // 2
-    a = np.zeros(half)
-    d = np.zeros(half)
-    for k in range(half):
-        sa = 0.0
-        sd = 0.0
-        for l in range(taps):
-            v = x[(2 * k + l) % n]
-            sa += h[l] * v
-            sd += g[l] * v
-        a[k] = sa
-        d[k] = sd
-    return a, d
+def idwt_level(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray):
+    """Adjoint of dwt_level: upsample and periodically overlap-add.
 
-
-def idwt_level_numpy(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray):
-    """Adjoint of dwt_level_numpy: upsample and periodically overlap-add."""
+    Contribution (l, k) lands on sample (2k + l) mod n. bincount walks the
+    (taps, half) grid tap by tap, so each sample sums its contributions in
+    the same order as a per-tap accumulation loop would.
+    """
     half = a.shape[0]
     n = 2 * half
     taps = h.shape[0]
-    x = np.zeros(n)
-    base = 2 * np.arange(half)
-    for l in range(taps):
-        idx = (base + l) % n
-        x[idx] += h[l] * a + g[l] * d
-    return x
+    idx = (2 * np.arange(half)[None, :] + np.arange(taps)[:, None]) % n
+    contrib = h[:, None] * a[None, :] + g[:, None] * d[None, :]
+    return np.bincount(idx.ravel(), weights=contrib.ravel(), minlength=n)
 
 
-@njit(cache=True)
-def idwt_level_jit(a, d, h, g):  # pragma: no cover - measured via dispatch
-    half = a.shape[0]
-    n = 2 * half
-    taps = h.shape[0]
-    x = np.zeros(n)
-    for k in range(half):
-        for l in range(taps):
-            x[(2 * k + l) % n] += h[l] * a[k] + g[l] * d[k]
-    return x
-
-
-# ---------------------------------------------------------------------------
-# pairwise squared Euclidean distances (BMU searches, densities)
-# ---------------------------------------------------------------------------
-
-def pairwise_sqdist_numpy(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
+def pairwise_sqdist(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Squared distances, shape (len(points), len(refs)). Clipped at 0."""
     p2 = np.einsum("ij,ij->i", points, points)[:, None]
     r2 = np.einsum("ij,ij->i", refs, refs)[None, :]
     d2 = p2 + r2 - 2.0 * (points @ refs.T)
     np.clip(d2, 0.0, None, out=d2)
     return d2
-
-
-@njit(cache=True)
-def pairwise_sqdist_jit(points, refs):  # pragma: no cover - via dispatch
-    n = points.shape[0]
-    m = refs.shape[0]
-    dim = points.shape[1]
-    out = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for k in range(dim):
-                diff = points[i, k] - refs[j, k]
-                s += diff * diff
-            out[i, j] = s
-    return out
-
-
-# ---------------------------------------------------------------------------
-# cyclic Jacobi sweeps for symmetric eigendecomposition
-# ---------------------------------------------------------------------------
-
-def jacobi_sweeps_numpy(mat: np.ndarray, tol: float, max_sweeps: int):
-    """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps row-major over pairs p < q until the largest off-diagonal
-    magnitude is <= tol. Returns (diagonalized matrix, rotation product V,
-    sweeps used, converged flag); columns of V are eigenvectors.
-    """
-    a = np.array(mat, dtype=float)
-    m = a.shape[0]
-    v = np.eye(m)
-    for sweep in range(max_sweeps):
-        off = 0.0
-        if m > 1:
-            off = np.max(np.abs(a - np.diag(np.diag(a))))
-        if off <= tol:
-            return a, v, sweep, True
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                phi = 0.5 * math.atan2(2.0 * apq, a[q, q] - a[p, p])
-                c = math.cos(phi)
-                s = math.sin(phi)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    off = 0.0
-    if m > 1:
-        off = np.max(np.abs(a - np.diag(np.diag(a))))
-    return a, v, max_sweeps, bool(off <= tol)
-
-
-@njit(cache=True)
-def jacobi_sweeps_jit(mat, tol, max_sweeps):  # pragma: no cover - via dispatch
-    a = mat.copy()
-    m = a.shape[0]
-    v = np.eye(m)
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for i in range(m):
-            for j in range(m):
-                if i != j and abs(a[i, j]) > off:
-                    off = abs(a[i, j])
-        if off <= tol:
-            return a, v, sweep, True
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                phi = 0.5 * math.atan2(2.0 * apq, a[q, q] - a[p, p])
-                c = math.cos(phi)
-                s = math.sin(phi)
-                for r in range(m):
-                    arp = a[r, p]
-                    arq = a[r, q]
-                    a[r, p] = c * arp - s * arq
-                    a[r, q] = s * arp + c * arq
-                for r in range(m):
-                    apr = a[p, r]
-                    aqr = a[q, r]
-                    a[p, r] = c * apr - s * aqr
-                    a[q, r] = s * apr + c * aqr
-                for r in range(m):
-                    vrp = v[r, p]
-                    vrq = v[r, q]
-                    v[r, p] = c * vrp - s * vrq
-                    v[r, q] = s * vrp + c * vrq
-    off = 0.0
-    for i in range(m):
-        for j in range(m):
-            if i != j and abs(a[i, j]) > off:
-                off = abs(a[i, j])
-    return a, v, max_sweeps, off <= tol
-
-
-if USE_NUMBA:
-    dwt_level = dwt_level_jit
-    idwt_level = idwt_level_jit
-    pairwise_sqdist = pairwise_sqdist_jit
-    jacobi_sweeps = jacobi_sweeps_jit
-else:
-    dwt_level = dwt_level_numpy
-    idwt_level = idwt_level_numpy
-    pairwise_sqdist = pairwise_sqdist_numpy
-    jacobi_sweeps = jacobi_sweeps_numpy
-
-
-def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"

@@ -1,11 +1,11 @@
 """Principal-component models with squared prediction error residuals.
 
-Eigendecomposition is done by cyclic Jacobi rotations (see _kernels), which
-keeps the package dependency-free for its numerics and is exact enough for
-the small covariance matrices this pipeline produces. When a training block
-has fewer rows than columns the decomposition runs on the n x n Gram matrix
-instead and maps the eigenvectors back; both routes agree to 1e-8 and the
-tests hold them to it.
+Eigendecomposition is LAPACK's symmetric solver (numpy.linalg.eigh),
+wrapped so its output is canonical: eigenvalues in descending order, each
+eigenvector signed by its largest entry, and round-off eigenvalues snapped
+to zero. When a training block has fewer rows than columns the
+decomposition runs on the n x n Gram matrix instead and maps the
+eigenvectors back; both routes agree to 1e-8 and the tests hold them to it.
 
 SPE of a row x against a model with loadings Xi is the residual power
 x (I - Xi Xi^T) x^T evaluated in the normalized space.
@@ -17,12 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import InvalidArgumentError, NotConvergedError
 from .fusion import FeatureMatrix, ScalingParams, apply_scaling, fit_group_scaling
 
-JACOBI_TOL_FACTOR = 1e-12
-JACOBI_MAX_SWEEPS = 100
 EIGVAL_CLAMP_FACTOR = 1e-12
 
 
@@ -37,26 +34,24 @@ def covariance(x: np.ndarray) -> np.ndarray:
 def eig_sym(c: np.ndarray):
     """Eigenvalues (descending) and orthonormal eigenvectors.
 
-    The input must be symmetric to 1e-9 relative. Each eigenvector is signed
-    so its largest-magnitude entry is positive; eigenvalues within round-off
-    of zero (1e-12 * spectral radius) are snapped to exactly zero so that
-    positive-semidefinite inputs keep a clean nonnegative spectrum.
+    The input must be finite and symmetric to 1e-9 relative. Each
+    eigenvector is signed so its largest-magnitude entry is positive;
+    eigenvalues within round-off of zero (1e-12 * spectral radius) are
+    snapped to exactly zero so that positive-semidefinite inputs keep a
+    clean nonnegative spectrum.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise InvalidArgumentError("eig_sym expects a square matrix")
+    if not np.all(np.isfinite(c)):
+        raise InvalidArgumentError("matrix contains non-finite entries")
     scale = max(1.0, float(np.abs(c).max()) if c.size else 0.0)
     if float(np.abs(c - c.T).max() if c.size else 0.0) > 1e-9 * scale:
         raise InvalidArgumentError("matrix is not symmetric")
-    fro = float(np.linalg.norm(c))
-    diag, vecs, _, converged = _kernels.jacobi_sweeps(
-        np.ascontiguousarray(c, dtype=float), JACOBI_TOL_FACTOR * fro, JACOBI_MAX_SWEEPS
-    )
-    if not converged:
-        raise NotConvergedError(
-            f"Jacobi rotations did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-    vals = np.diag(diag).copy()
+    try:
+        vals, vecs = np.linalg.eigh(c)
+    except np.linalg.LinAlgError as exc:
+        raise NotConvergedError(f"symmetric eigensolver failed: {exc}") from exc
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]

@@ -185,17 +185,16 @@ def lambda_schedule(model: SomModel, epoch: int, epochs: int) -> float:
     return float(model.lambda_start * ratio ** (epoch / epochs))
 
 
-def train(model: SomModel, data: np.ndarray, epochs: int = DEFAULT_EPOCHS, seed=None):
+def train(model: SomModel, data: np.ndarray, epochs: int = DEFAULT_EPOCHS):
     """Batch-train a copy of the model; returns (model, quantization trace).
 
     Each epoch assigns every datum to its BMU and replaces prototype j with
     the kernel-weighted average sum_n K(j, bmu_n) x_n / sum_n K(j, bmu_n).
     Prototypes whose accumulated kernel mass underflows to zero keep their
     previous value. The trace holds the quantization error after init and
-    after every epoch; batch updates are deterministic, the seed parameter is
-    accepted for API symmetry with init_som.
+    after every epoch; all but the last entry are read off the distances
+    each epoch computes for its BMU assignment anyway.
     """
-    del seed
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != model.dim:
         raise InvalidArgumentError("data dimension does not match the map")
@@ -205,12 +204,13 @@ def train(model: SomModel, data: np.ndarray, epochs: int = DEFAULT_EPOCHS, seed=
         raise InvalidArgumentError("epochs must be >= 1")
     weights = model.weights.copy()
     work = replace(model, weights=weights)
-    trace = [quantization_error(work, data)]
+    trace = []
     for epoch in range(epochs):
         lam = lambda_schedule(model, epoch, epochs)
         kmat = _kernel_matrix(work, lam)
         d2 = _kernels.pairwise_sqdist(data, weights)
         assign = np.argmin(d2, axis=1)
+        trace.append(float(np.sqrt(d2.min(axis=1)).mean()))
         kb = kmat[:, assign]  # (units, n)
         denom = kb.sum(axis=1)
         numer = kb @ data
@@ -218,7 +218,7 @@ def train(model: SomModel, data: np.ndarray, epochs: int = DEFAULT_EPOCHS, seed=
         weights = weights.copy()
         weights[mask] = numer[mask] / denom[mask, None]
         work = replace(work, weights=weights)
-        trace.append(quantization_error(work, data))
+    trace.append(quantization_error(work, data))
     return replace(work, trained_epochs=model.trained_epochs + epochs), trace
 
 

@@ -277,27 +277,40 @@ def save_bank(bank: BaselineBank, out_dir: str) -> str:
 
 
 def load_bank(bank_dir: str) -> BaselineBank:
+    """Read a bank directory back, refusing one that was edited after
+    training: the fitted model must hash to the index's model_hash."""
     index = read_json(os.path.join(bank_dir, "index.json"))
-    if index.get("schema_version") != SCHEMA_VERSION:
-        raise DataFormatError(
-            f"bank schema version {index.get('schema_version')} not supported"
+    version = index.get("schema_version") if isinstance(index, dict) else None
+    if version != SCHEMA_VERSION:
+        raise DataFormatError(f"bank schema version {version} not supported")
+    try:
+        config = PipelineConfig.from_dict(index["config"])
+        steps = {}
+        for key, name in index["step_files"].items():
+            steps[int(key)] = _step_from_dict(read_json(os.path.join(bank_dir, name)))
+        validation = [
+            _vector_from_dict(v)
+            for v in read_json(os.path.join(bank_dir, index["validation_file"]))["vectors"]
+        ]
+        bank = BaselineBank(
+            config=config,
+            step_ids=[int(s) for s in index["step_ids"]],
+            steps=steps,
+            train_keys=index["train_keys"],
+            val_keys=index["val_keys"],
+            validation=validation,
         )
-    config = PipelineConfig.from_dict(index["config"])
-    steps = {}
-    for key, name in index["step_files"].items():
-        steps[int(key)] = _step_from_dict(read_json(os.path.join(bank_dir, name)))
-    validation = [
-        _vector_from_dict(v)
-        for v in read_json(os.path.join(bank_dir, index["validation_file"]))["vectors"]
-    ]
-    return BaselineBank(
-        config=config,
-        step_ids=[int(s) for s in index["step_ids"]],
-        steps=steps,
-        train_keys=index["train_keys"],
-        val_keys=index["val_keys"],
-        validation=validation,
-    )
+        digest = bank_hash(bank)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataFormatError(
+            f"bank in {bank_dir} is malformed: {type(exc).__name__}: {exc}"
+        ) from exc
+    if digest != index.get("model_hash"):
+        raise DataFormatError(
+            f"bank in {bank_dir} does not match its model_hash; "
+            "it was changed after training"
+        )
+    return bank
 
 
 def bank_hash(bank: BaselineBank) -> str:

@@ -164,18 +164,33 @@ def select_level(
     """Decomposition depth whose approximation has minimum Shannon entropy.
 
     Levels 1..max_level are scanned (capped so at least one coefficient
-    remains); ties resolve toward the larger level.
+    remains); ties resolve toward the larger level. Each level sees the
+    signal zero-padded as extract_features pads it, so levels that share a
+    padded length share one DWT cascade and read their approximations off
+    it in turn.
     """
     x = _check_signal(x)
+    bank = bank or db8()
     if max_level < 1:
         raise InvalidArgumentError(f"max_level must be >= 1, got {max_level}")
-    cap = min(max_level, int(np.floor(np.log2(x.shape[0]))))
+    n = x.shape[0]
+    cap = min(max_level, int(np.floor(np.log2(n))))
     if cap < 1:
         raise InvalidArgumentError("signal too short for any decomposition level")
     best_level = 1
     best_entropy = np.inf
+    approx, padded = x, n
     for lvl in range(1, cap + 1):
-        ent = shannon_entropy(extract_features(x, lvl, bank))
+        block = 1 << lvl
+        target = -(-n // block) * block
+        if target != padded:
+            # this level needs a longer zero padding: restart the cascade
+            padded = target
+            approx = np.concatenate([x, np.zeros(target - n)])
+            for _ in range(lvl - 1):
+                approx, _ = _kernels.dwt_level(approx, bank.h, bank.g)
+        approx, _ = _kernels.dwt_level(approx, bank.h, bank.g)
+        ent = shannon_entropy(approx)
         if ent <= best_entropy:
             best_entropy = ent
             best_level = lvl

@@ -249,6 +249,24 @@ def test_inputs_never_mutated(workflow):
     assert tree_digest(bank, skip=()) == before_bank
 
 
+@pytest.mark.parametrize("edit", ["som-weight", "drop-theta"])
+def test_detect_refuses_edited_bank(workflow, tmp_path, capsys, edit):
+    _, _, data, bank = workflow[:4]
+    edited = str(tmp_path / "bank")
+    shutil.copytree(bank, edited)
+    path = os.path.join(edited, "step-1.json")
+    doc = store.read_json(path)
+    if edit == "som-weight":
+        doc["som"]["weights"][0][0] += 0.5
+    else:
+        del doc["theta"]
+    store.write_json(path, doc)
+    capsys.readouterr()
+    rc = cli.main(["detect", "--bank", edited, "--data", data, "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert "data-format" in capsys.readouterr().err
+
+
 def test_generate_seed_override(tmp_path):
     cfg = str(tmp_path / "s.json")
     store.write_json(cfg, tiny_scenario_dict(seed=11))

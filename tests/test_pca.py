@@ -1,4 +1,6 @@
-"""Covariance, Jacobi eigendecomposition, retention, and SPE residuals."""
+"""Covariance, symmetric eigendecomposition, retention, and SPE residuals."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,9 +120,22 @@ def test_eig_rejects_non_symmetric():
 
 
 def test_eig_not_converged(monkeypatch):
-    monkeypatch.setattr(pca, "JACOBI_MAX_SWEEPS", 0)
+    def fail(_c):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NotConvergedError):
         pca.eig_sym(np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eig_rejects_non_finite(bad):
+    c = np.array([[1.0, 0.5], [0.5, 1.0]])
+    c[0, 1] = c[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic warns
+        with pytest.raises(InvalidArgumentError):
+            pca.eig_sym(c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Self-organizing map training, kernels, and diagnostics."""
+import dataclasses
 import math
 
 import numpy as np
@@ -172,6 +173,25 @@ def test_quantization_error_never_worse_than_init():
         assert trace[0] == pytest.approx(som.quantization_error(model, data))
         assert trace[-1] == pytest.approx(som.quantization_error(trained, data))
         assert trace[-1] <= trace[0] + 1e-12
+
+
+def test_train_trace_matches_per_epoch_quantization_error():
+    # reference: the batch loop with a full quantization pass after each epoch
+    data = blob_data(21, n=40, dim=3)
+    model = som.init_som((4, 3), data, mode="random", seed=4)
+    trained, trace = som.train(model, data, epochs=12)
+    work = model
+    want = [som.quantization_error(work, data)]
+    for epoch in range(12):
+        kmat = som._kernel_matrix(work, som.lambda_schedule(model, epoch, 12))
+        kb = kmat[:, som.bmu_indices(work, data)]
+        denom = kb.sum(axis=1)
+        weights = work.weights.copy()
+        weights[denom > 0.0] = (kb @ data)[denom > 0.0] / denom[denom > 0.0, None]
+        work = dataclasses.replace(work, weights=weights)
+        want.append(som.quantization_error(work, data))
+    assert np.array_equal(trained.weights, work.weights)
+    assert trace == want
 
 
 def test_batch_cost_decreases_for_most_seeds():

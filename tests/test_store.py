@@ -1,6 +1,7 @@
 """Canonical serialization and bank persistence."""
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -122,6 +123,42 @@ def test_load_bank_rejects_unknown_schema(tmp_path, small_bank):
     doc = store.read_json(index_path)
     doc["schema_version"] = "bogus"
     store.write_json(index_path, doc)
+    with pytest.raises(DataFormatError):
+        store.load_bank(out)
+
+
+def test_load_bank_rejects_edited_model(tmp_path, small_bank):
+    out = str(tmp_path / "bank")
+    store.save_bank(small_bank, out)
+    path = os.path.join(out, f"step-{small_bank.step_ids[0]}.json")
+    doc = store.read_json(path)
+    doc["som"]["weights"][0][0] += 0.5
+    store.write_json(path, doc)
+    with pytest.raises(DataFormatError, match="model_hash"):
+        store.load_bank(out)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda step, index: step.pop("theta"),
+        lambda step, index: step["clusters"]["0"].pop("q95"),
+        lambda step, index: step.__setitem__("clusters", []),
+        lambda step, index: step["som"].__setitem__("weights", "bogus"),
+        lambda step, index: index.pop("step_files"),
+        lambda step, index: index.__setitem__("step_ids", [None]),
+    ],
+    ids=["no-theta", "no-q95", "clusters-list", "weights-string", "no-step-files",
+         "null-step-id"],
+)
+def test_load_bank_maps_malformed_documents_to_data_format_error(tmp_path, small_bank, edit):
+    out = str(tmp_path / "bank")
+    index_path = store.save_bank(small_bank, out)
+    step_path = os.path.join(out, f"step-{small_bank.step_ids[0]}.json")
+    step, index = store.read_json(step_path), store.read_json(index_path)
+    edit(step, index)
+    store.write_json(step_path, step)
+    store.write_json(index_path, index)
     with pytest.raises(DataFormatError):
         store.load_bank(out)
 

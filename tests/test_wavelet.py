@@ -205,6 +205,34 @@ def test_select_level_matches_exhaustive_scan_on_noise():
         assert wavelet.select_level(x) == exhaustive_argmin(x, 8)
 
 
+def test_select_level_matches_exhaustive_scan_on_padded_lengths():
+    # lengths that are not multiples of 2^8: deeper levels pad further, so
+    # the single-cascade scan has to restart where the padding grows
+    rng = np.random.default_rng(17)
+    for n in (100, 777, 1000, 5000):
+        decay = np.exp(-np.arange(n) / (0.2 * n))
+        for x in (rng.normal(size=n), decay * rng.normal(size=n)):
+            for max_level in (1, 3, 8):
+                assert wavelet.select_level(x, max_level=max_level) == exhaustive_argmin(
+                    x, max_level
+                )
+
+
+def test_select_level_runs_one_cascade(monkeypatch):
+    from aubase import _kernels
+
+    calls = []
+    real = _kernels.dwt_level
+
+    def counting(x, h, g):
+        calls.append(x.shape[0])
+        return real(x, h, g)
+
+    monkeypatch.setattr(_kernels, "dwt_level", counting)
+    wavelet.select_level(np.random.default_rng(3).normal(size=4096), max_level=8)
+    assert calls == [4096 >> k for k in range(8)]
+
+
 def test_select_level_max_level_one():
     assert wavelet.select_level(np.arange(64.0), max_level=1) == 1
 
