@@ -1,8 +1,9 @@
 """Numerical hot loops, vectorized in numpy.
 
-The DWT step and its adjoint, and the pairwise squared distances behind
-every BMU search and density estimate. All kernels are deterministic: the
-same inputs give the same bits on every call.
+One DWT analysis level with a single filter, the synthesis step that
+inverts a level, and the pairwise squared distances behind every BMU search
+and density estimate. All kernels are deterministic: the same inputs give
+the same bits on every call.
 """
 
 from __future__ import annotations
@@ -10,22 +11,26 @@ from __future__ import annotations
 import numpy as np
 
 
-def dwt_level(x: np.ndarray, h: np.ndarray, g: np.ndarray):
-    """One analysis level: periodic extension, filter, downsample by 2.
+def analysis_level(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """One analysis level along the last axis of a (..., n) array: periodic
+    extension, correlation with the filter f, downsampling by 2.
 
-    Returns (approximation, detail), each of length len(x) // 2.
+    Returns (..., n // 2) for even n. Every row goes through the same
+    per-row inner loop, so a row gives the same bits alone or in a block.
     """
-    n = x.shape[0]
-    taps = h.shape[0]
-    # np.resize tiles the array cyclically, which is exactly the periodic
-    # extension needed for indices 2k + l up to n + taps - 2.
-    xp = np.resize(x, n + taps - 1)
-    win = np.lib.stride_tricks.sliding_window_view(xp, taps)[::2]
-    return win @ h, win @ g
+    n = x.shape[-1]
+    taps = f.shape[0]
+    # indices 2k + l run up to n + taps - 2; the wrapped head is x tiled
+    # cyclically, which also covers n < taps - 1
+    head = np.take(x, np.arange(taps - 1) % n, axis=-1)
+    xp = np.concatenate([x, head], axis=-1)
+    win = np.lib.stride_tricks.sliding_window_view(xp, taps, axis=-1)[..., ::2, :]
+    return win @ f
 
 
 def idwt_level(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray):
-    """Adjoint of dwt_level: upsample and periodically overlap-add.
+    """Adjoint of one analysis level with h and g: upsample and
+    periodically overlap-add.
 
     Contribution (l, k) lands on sample (2k + l) mod n. bincount walks the
     (taps, half) grid tap by tap, so each sample sums its contributions in

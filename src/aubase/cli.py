@@ -251,19 +251,27 @@ def _cmd_evaluate(args, argv) -> int:
     results = doc["results"]
     if not results:
         raise InvalidArgumentError("report contains no scored experiments")
-    labels = [0 if r["state"] == "baseline" else 1 for r in results]
+    try:
+        labels = [0 if r["state"] == "baseline" else 1 for r in results]
+        overall = [store.parse_float(r["score"]) for r in results]
+        step_scores = [
+            (s, [store.parse_float(r["per_step"][str(s)]["normalized"]) for r in results])
+            for s in doc["step_ids"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(
+            f"report {args.report} is malformed: {type(exc).__name__}: {exc}"
+        ) from exc
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     summary = {"steps": {}}
 
-    overall = [store.parse_float(r["score"]) for r in results]
     curve, entry = _roc_entry(overall, labels)
     _roc_csv(os.path.join(args.out, "roc-overall.csv"), curve)
     outputs.append("roc-overall.csv")
     summary["overall"] = entry
 
-    for s in doc["step_ids"]:
-        scores = [store.parse_float(r["per_step"][str(s)]["normalized"]) for r in results]
+    for s, scores in step_scores:
         curve, entry = _roc_entry(scores, labels)
         name = f"roc-step-{s}.csv"
         _roc_csv(os.path.join(args.out, name), curve)

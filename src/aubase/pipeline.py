@@ -40,6 +40,10 @@ from .errors import (
 from .fusion import FeatureMatrix, build_step_layouts, unfold
 
 QUANTILE = 0.95
+# Records per feature block. Stacking amortizes the per-level call overhead
+# over the rows; 4 rows gets most of the gain, and larger blocks raise the
+# peak memory of a detect call without saving more time.
+BLOCK_ROWS = 4
 
 
 @dataclass
@@ -73,10 +77,42 @@ class PipelineConfig:
         if extra:
             raise InvalidArgumentError(f"unknown pipeline config fields: {sorted(extra)}")
         kwargs = dict(d)
-        for key in ("grid", "second_grid"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
+        for key, value in d.items():
+            if value is None and key in _OPTIONAL_FIELDS:
+                continue
+            kind = _CONFIG_KINDS[key]
+            if not _CONFIG_CHECKS[kind](value):
+                raise InvalidArgumentError(
+                    f"pipeline config field {key!r} must be {kind}, got {value!r}"
+                )
+            if key in ("grid", "second_grid"):
+                kwargs[key] = tuple(value)
         return cls(**kwargs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+_CONFIG_CHECKS = {
+    "an integer": _is_int,
+    "a number": lambda v: _is_int(v) or isinstance(v, (float, np.floating)),
+    "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "two positive integers": lambda v: (
+        isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_int(x) and x >= 1 for x in v)
+    ),
+}
+# JSON value kind of each PipelineConfig field; the optional ones may be null
+_CONFIG_KINDS = {
+    "train_frac": "a number", "variance_threshold": "a number",
+    "max_level": "an integer", "level": "an integer",
+    "grid": "two positive integers", "second_grid": "two positive integers",
+    "epochs": "an integer", "lambda_start": "a number", "lambda_end": "a number",
+    "kernel_form": "a string", "init": "a string", "theta": "a number",
+    "rho": "a number", "labeled_decisions": "a boolean", "seed": "an integer",
+}
+_OPTIONAL_FIELDS = {"level", "grid", "second_grid", "lambda_start", "rho"}
 
 
 @dataclass
@@ -143,17 +179,38 @@ def _split_indices(n: int, train_frac: float, seed: int):
     return sorted(order[:n_train].tolist()), sorted(order[n_train:].tolist())
 
 
+def _blocks(records):
+    """Yield (records, block) pairs: records of one sample length stacked
+    into (rows, samples) blocks of at most BLOCK_ROWS rows."""
+    by_shape = {}
+    for rec in records:
+        by_shape.setdefault(np.shape(rec.samples), []).append(rec)
+    for group in by_shape.values():
+        for start in range(0, len(group), BLOCK_ROWS):
+            chunk = group[start:start + BLOCK_ROWS]
+            block = np.stack([rec.samples for rec in chunk])
+            if block.ndim != 2:
+                raise InvalidArgumentError(
+                    f"record {chunk[0].id}: samples must be a 1-D array"
+                )
+            yield chunk, block
+
+
 def _modal_level(records, config: PipelineConfig) -> int:
     votes = Counter()
-    for rec in records:
-        votes[wavelet.select_level(rec.samples, max_level=config.max_level)] += 1
+    for _, block in _blocks(records):
+        votes.update(wavelet.select_level(block, max_level=config.max_level).tolist())
     # most common level; ties resolve toward the deeper decomposition
     best = max(votes.items(), key=lambda kv: (kv[1], kv[0]))
     return best[0]
 
 
 def _features_for(records, level: int) -> dict:
-    return {rec.id: wavelet.extract_features(rec.samples, level) for rec in records}
+    features = {}
+    for chunk, block in _blocks(records):
+        for rec, row in zip(chunk, wavelet.extract_features(block, level)):
+            features[rec.id] = row
+    return features
 
 
 def _quantile(values: np.ndarray) -> float:

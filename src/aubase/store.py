@@ -30,7 +30,11 @@ from .pipeline import (
 )
 from .som import SomModel
 
-SCHEMA_VERSION = 1
+# Bank directories: version 2 hashes the validation vectors too, so a bank
+# saved under version 1 cannot pass the wider check and is refused by version.
+SCHEMA_VERSION = 2
+# Detection and comparison reports; their format has not changed.
+REPORT_SCHEMA_VERSION = 1
 
 
 def _sanitize(obj):
@@ -314,12 +318,14 @@ def load_bank(bank_dir: str) -> BaselineBank:
 
 
 def bank_hash(bank: BaselineBank) -> str:
-    """Digest of everything the training phase fitted."""
+    """Digest of everything the training phase produced: the fitted models
+    and the held-out validation vectors the second-level map reads."""
     doc = {
         "config": bank.config.to_dict(),
         "steps": {str(s): _step_to_dict(bank.steps[s]) for s in bank.step_ids},
         "train_keys": bank.train_keys,
         "val_keys": sorted(bank.val_keys),
+        "validation": [_vector_to_dict(v) for v in bank.validation],
     }
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
@@ -330,7 +336,7 @@ def bank_hash(bank: BaselineBank) -> str:
 
 def detection_report_to_dict(report: DetectionReport) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "step_ids": report.step_ids,
         "metadata": report.metadata,
         "incomplete": report.incomplete,
@@ -355,7 +361,7 @@ def detection_report_to_dict(report: DetectionReport) -> dict:
 
 def comparison_report_to_dict(report: ComparisonReport) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": REPORT_SCHEMA_VERSION,
         "summary": report.summary,
         "steps": [
             {

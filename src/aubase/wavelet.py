@@ -6,9 +6,11 @@ g, both downsampled by two, with indices wrapped modulo the working length.
 The synthesis pass is the exact adjoint, so the transform is orthonormal and
 conserves energy to rounding error.
 
-Feature extraction keeps only the deepest approximation coefficients; the
-decomposition depth can be chosen per signal by minimizing the Shannon
-entropy of those coefficients.
+Feature extraction keeps only the deepest approximation coefficients, so it
+and the level choice run the h channel alone. The decomposition depth can be
+chosen per signal by minimizing the Shannon entropy of those coefficients.
+Both take one signal or a 2-D (records, samples) block of equal-length
+signals; a block row gives the same bits as that signal on its own.
 """
 
 from __future__ import annotations
@@ -81,17 +83,28 @@ class WaveletDecomposition:
 
 def _check_signal(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise InvalidArgumentError("signal must be a nonempty 1-D array")
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise InvalidArgumentError(
+            "signal must be a nonempty 1-D array or 2-D (records, samples) block"
+        )
     if not np.all(np.isfinite(x)):
         raise InvalidArgumentError("signal contains non-finite samples")
     return x
+
+
+def _zero_pad(x: np.ndarray, length: int) -> np.ndarray:
+    """x with zeros appended along its last axis up to length samples."""
+    if x.shape[-1] == length:
+        return x
+    return np.concatenate([x, np.zeros(x.shape[:-1] + (length - x.shape[-1],))], axis=-1)
 
 
 def dwt(x: np.ndarray, level: int, bank: WaveletFilterBank | None = None) -> WaveletDecomposition:
     """Decompose x down to the given level. len(x) must be divisible by 2^level."""
     x = _check_signal(x)
     bank = bank or db8()
+    if x.ndim != 1:
+        raise InvalidArgumentError("dwt decomposes one 1-D signal")
     if level < 1:
         raise InvalidArgumentError(f"level must be >= 1, got {level}")
     n = x.shape[0]
@@ -103,8 +116,8 @@ def dwt(x: np.ndarray, level: int, bank: WaveletFilterBank | None = None) -> Wav
     approx = x
     details = []
     for _ in range(level):
-        approx, d = _kernels.dwt_level(approx, bank.h, bank.g)
-        details.append(d)
+        details.append(_kernels.analysis_level(approx, bank.g))
+        approx = _kernels.analysis_level(approx, bank.h)
     return WaveletDecomposition(
         level=level,
         approx=approx,
@@ -147,20 +160,27 @@ def extract_features(
     bank: WaveletFilterBank | None = None,
 ) -> np.ndarray:
     """Approximation coefficients at the given level, zero-padding the tail
-    to the next multiple of 2^level when the length requires it."""
+    to the next multiple of 2^level when the length requires it.
+
+    x is one signal or a (records, samples) block; the result has one row of
+    coefficients per record.
+    """
     x = _check_signal(x)
+    bank = bank or db8()
+    if level < 1:
+        raise InvalidArgumentError(f"level must be >= 1, got {level}")
     block = 1 << level
-    if x.shape[0] % block:
-        pad = block - x.shape[0] % block
-        x = np.concatenate([x, np.zeros(pad)])
-    return dwt(x, level, bank).approx
+    approx = _zero_pad(x, -(-x.shape[-1] // block) * block)
+    for _ in range(level):
+        approx = _kernels.analysis_level(approx, bank.h)
+    return approx
 
 
 def select_level(
     x: np.ndarray,
     bank: WaveletFilterBank | None = None,
     max_level: int = DEFAULT_MAX_LEVEL,
-) -> int:
+):
     """Decomposition depth whose approximation has minimum Shannon entropy.
 
     Levels 1..max_level are scanned (capped so at least one coefficient
@@ -168,30 +188,34 @@ def select_level(
     signal zero-padded as extract_features pads it, so levels that share a
     padded length share one DWT cascade and read their approximations off
     it in turn.
+
+    x is one signal, giving an int, or a (records, samples) block, giving
+    an int array with one level per record.
     """
     x = _check_signal(x)
     bank = bank or db8()
     if max_level < 1:
         raise InvalidArgumentError(f"max_level must be >= 1, got {max_level}")
-    n = x.shape[0]
+    rows = x.reshape(-1, x.shape[-1])
+    n = rows.shape[1]
     cap = min(max_level, int(np.floor(np.log2(n))))
     if cap < 1:
         raise InvalidArgumentError("signal too short for any decomposition level")
-    best_level = 1
-    best_entropy = np.inf
-    approx, padded = x, n
+    best_level = np.ones(rows.shape[0], dtype=int)
+    best_entropy = np.full(rows.shape[0], np.inf)
+    approx, padded = rows, n
     for lvl in range(1, cap + 1):
         block = 1 << lvl
         target = -(-n // block) * block
         if target != padded:
             # this level needs a longer zero padding: restart the cascade
             padded = target
-            approx = np.concatenate([x, np.zeros(target - n)])
+            approx = _zero_pad(rows, target)
             for _ in range(lvl - 1):
-                approx, _ = _kernels.dwt_level(approx, bank.h, bank.g)
-        approx, _ = _kernels.dwt_level(approx, bank.h, bank.g)
-        ent = shannon_entropy(approx)
-        if ent <= best_entropy:
-            best_entropy = ent
-            best_level = lvl
-    return best_level
+                approx = _kernels.analysis_level(approx, bank.h)
+        approx = _kernels.analysis_level(approx, bank.h)
+        ent = np.array([shannon_entropy(a) for a in approx])
+        deeper = ent <= best_entropy
+        best_entropy[deeper] = ent[deeper]
+        best_level[deeper] = lvl
+    return int(best_level[0]) if x.ndim == 1 else best_level

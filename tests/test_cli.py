@@ -128,6 +128,27 @@ def test_evaluate_rejects_malformed_report(tmp_path, capsys):
     assert "report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"step_ids": [1], "results": "abc"},
+        {"step_ids": [1], "results": [{"score": 1.0, "per_step": {"1": {"normalized": 1.0}}}]},
+        {"step_ids": [1], "results": [{"state": "baseline", "score": "high",
+                                       "per_step": {"1": {"normalized": 1.0}}}]},
+        {"step_ids": [2], "results": [{"state": "baseline", "score": 1.0,
+                                       "per_step": {"1": {"normalized": 1.0}}}]},
+    ],
+    ids=["results-string", "no-state", "score-string", "missing-step"],
+)
+def test_evaluate_rejects_malformed_results(tmp_path, capsys, doc):
+    bad = str(tmp_path / "bad.json")
+    store.write_json(bad, doc)
+    out = str(tmp_path / "o")
+    assert cli.main(["evaluate", "--report", bad, "--out", out]) == 1
+    assert "data-format" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
@@ -249,17 +270,22 @@ def test_inputs_never_mutated(workflow):
     assert tree_digest(bank, skip=()) == before_bank
 
 
-@pytest.mark.parametrize("edit", ["som-weight", "drop-theta"])
+@pytest.mark.parametrize("edit", ["som-weight", "drop-theta", "scaled-spe", "cut-vectors"])
 def test_detect_refuses_edited_bank(workflow, tmp_path, capsys, edit):
     _, _, data, bank = workflow[:4]
     edited = str(tmp_path / "bank")
     shutil.copytree(bank, edited)
-    path = os.path.join(edited, "step-1.json")
+    name = "validation.json" if edit in ("scaled-spe", "cut-vectors") else "step-1.json"
+    path = os.path.join(edited, name)
     doc = store.read_json(path)
     if edit == "som-weight":
         doc["som"]["weights"][0][0] += 0.5
-    else:
+    elif edit == "drop-theta":
         del doc["theta"]
+    elif edit == "scaled-spe":
+        doc["vectors"][0]["spe"][0] *= 100.0
+    else:
+        doc["vectors"] = doc["vectors"][:-1]
     store.write_json(path, doc)
     capsys.readouterr()
     rc = cli.main(["detect", "--bank", edited, "--data", data, "--out", str(tmp_path / "r")])
@@ -299,3 +325,19 @@ def test_train_rejects_unknown_config_field(workflow, tmp_path, capsys):
     rc = cli.main(["train", "--data", data, "--config", cfg_path, "--out", str(tmp_path / "b")])
     assert rc == 1
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"max_level": "8"}, {"epochs": 2.5}, {"grid": [3]}, {"theta": None},
+     {"labeled_decisions": 1}, {"seed": True}],
+    ids=["max-level-string", "epochs-float", "grid-one-side", "theta-null",
+         "decisions-int", "seed-bool"],
+)
+def test_train_rejects_mistyped_config_field(workflow, tmp_path, capsys, doc):
+    data = workflow[2]
+    cfg_path = str(tmp_path / "pipe.json")
+    store.write_json(cfg_path, doc)
+    rc = cli.main(["train", "--data", data, "--config", cfg_path, "--out", str(tmp_path / "b")])
+    assert rc == 1
+    assert next(iter(doc)) in capsys.readouterr().err

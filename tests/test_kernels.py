@@ -15,6 +15,26 @@ def per_tap_idwt(a, d, h, g):
     return x
 
 
+def resize_analysis(x, f):
+    """One analysis level on a 1-D signal, extended by np.resize tiling."""
+    taps = f.shape[0]
+    xp = np.resize(x, x.shape[0] + taps - 1)
+    return np.lib.stride_tricks.sliding_window_view(xp, taps)[::2] @ f
+
+
+def test_analysis_level_bitwise_equals_resize_form():
+    # n < taps - 1 wraps the signal around more than once
+    rng = np.random.default_rng(13)
+    f = rng.normal(size=16)
+    for n in (2, 4, 6, 14, 16, 64, 1000):
+        x = rng.normal(size=(3, n))
+        got = _kernels.analysis_level(x, f)
+        assert got.shape == (3, n // 2)
+        for row, want in zip(got, (resize_analysis(r, f) for r in x)):
+            assert np.array_equal(row, want)
+        assert np.array_equal(_kernels.analysis_level(x[1], f), resize_analysis(x[1], f))
+
+
 def test_idwt_level_bitwise_equals_per_tap_loop():
     rng = np.random.default_rng(11)
     h = rng.normal(size=16)

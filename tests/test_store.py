@@ -127,6 +127,18 @@ def test_load_bank_rejects_unknown_schema(tmp_path, small_bank):
         store.load_bank(out)
 
 
+def test_load_bank_refuses_version_1_by_version(tmp_path, small_bank):
+    # version 1 banks were hashed without their validation vectors; they are
+    # refused for their version, not reported as changed after training
+    out = str(tmp_path / "bank")
+    index_path = store.save_bank(small_bank, out)
+    doc = store.read_json(index_path)
+    doc["schema_version"] = 1
+    store.write_json(index_path, doc)
+    with pytest.raises(DataFormatError, match="schema version 1 not supported"):
+        store.load_bank(out)
+
+
 def test_load_bank_rejects_edited_model(tmp_path, small_bank):
     out = str(tmp_path / "bank")
     store.save_bank(small_bank, out)
@@ -172,10 +184,13 @@ def test_bank_hash_sensitive_to_model_changes(tmp_path, small_bank):
     cid = sorted(first_step.clusters)[0]
     first_step.clusters[cid].q95 *= 1.5
     assert store.bank_hash(mutated) != base
-    # hash covers models, not the held-out vectors
+    # the held-out vectors feed the second-level map, so they count too
     mutated2 = copy.deepcopy(small_bank)
-    mutated2.validation = []
-    assert store.bank_hash(mutated2) == base
+    mutated2.validation[0].spe[0] *= 100.0
+    assert store.bank_hash(mutated2) != base
+    mutated3 = copy.deepcopy(small_bank)
+    mutated3.validation = mutated3.validation[:-1]
+    assert store.bank_hash(mutated3) != base
 
 
 def test_save_bank_writes_stable_bytes(tmp_path, small_bank):

@@ -222,15 +222,29 @@ def test_select_level_runs_one_cascade(monkeypatch):
     from aubase import _kernels
 
     calls = []
-    real = _kernels.dwt_level
+    real = _kernels.analysis_level
+    bank = wavelet.db8()
 
-    def counting(x, h, g):
-        calls.append(x.shape[0])
-        return real(x, h, g)
+    def counting(x, f):
+        calls.append(x.shape)
+        assert f is bank.h  # the level scan never computes details
+        return real(x, f)
 
-    monkeypatch.setattr(_kernels, "dwt_level", counting)
-    wavelet.select_level(np.random.default_rng(3).normal(size=4096), max_level=8)
-    assert calls == [4096 >> k for k in range(8)]
+    monkeypatch.setattr(_kernels, "analysis_level", counting)
+    block = np.random.default_rng(3).normal(size=(3, 4096))
+    wavelet.select_level(block, bank, max_level=8)
+    assert calls == [(3, 4096 >> k) for k in range(8)]
+
+
+def test_select_level_block_matches_exhaustive_scan_per_row():
+    rng = np.random.default_rng(23)
+    for n in (100, 777, 5000):
+        decay = np.exp(-np.arange(n) / (0.2 * n))
+        block = np.vstack([rng.normal(size=n), decay * rng.normal(size=n),
+                           rng.normal(size=n) ** 3])
+        for max_level in (1, 3, 8):
+            got = wavelet.select_level(block, max_level=max_level)
+            assert got.tolist() == [exhaustive_argmin(x, max_level) for x in block]
 
 
 def test_select_level_max_level_one():
@@ -271,3 +285,26 @@ def test_extract_features_matches_dwt_approx():
     rng = np.random.default_rng(4)
     x = rng.normal(size=512)
     assert np.array_equal(wavelet.extract_features(x, 4), wavelet.dwt(x, 4).approx)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4, 5, 9])
+def test_extract_features_block_rows_bitwise_equal_single_signal(rows):
+    rng = np.random.default_rng(rows)
+    for n in (100, 777, 5000):
+        block = rng.normal(size=(rows, n))
+        for level in (1, 3, 8):
+            got = wavelet.extract_features(block, level)
+            assert got.shape == (rows, -(-n // (1 << level)))
+            for x, row in zip(block, got):
+                assert np.array_equal(row, wavelet.extract_features(x, level))
+
+
+def test_block_inputs_checked_like_signals():
+    with pytest.raises(InvalidArgumentError):
+        wavelet.extract_features(np.zeros((2, 0)), 3)
+    with pytest.raises(InvalidArgumentError):
+        wavelet.extract_features(np.zeros((2, 2, 64)), 3)
+    with pytest.raises(InvalidArgumentError):
+        wavelet.select_level(np.array([[1.0] * 64, [np.inf] + [1.0] * 63]))
+    with pytest.raises(InvalidArgumentError):
+        wavelet.dwt(np.zeros((2, 64)), 3)
