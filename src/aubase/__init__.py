@@ -18,7 +18,7 @@ from .errors import (
     LayoutError,
     NotConvergedError,
 )
-from .evaluate import RocCurve, auc, compare_auc, fpr_at, fpr_at_tpr, roc, tpr_at
+from .evaluate import RocCurve, auc, fpr_at, fpr_at_tpr, roc, tpr_at
 from .fusion import (
     FeatureMatrix,
     ScalingParams,
@@ -73,7 +73,6 @@ __all__ = [
     "auc",
     "build_step_layouts",
     "cluster",
-    "compare_auc",
     "compare_monolithic",
     "covariance",
     "db8",

@@ -130,16 +130,12 @@ def _write_run(out_dir, command, argv, config, seed, inputs, outputs) -> None:
 
 
 def _load_pipeline_config(path, seed) -> pipeline.PipelineConfig:
-    if path is None:
-        config = pipeline.PipelineConfig()
-    else:
-        doc = store.read_json(path)
-        if not isinstance(doc, dict):
-            raise DataFormatError("pipeline config must be a JSON object")
-        config = pipeline.PipelineConfig.from_dict(doc)
+    doc = {} if path is None else store.read_json(path)
+    if not isinstance(doc, dict):
+        raise DataFormatError("pipeline config must be a JSON object")
     if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
-    return config
+        doc = {**doc, "seed": seed}
+    return pipeline.PipelineConfig.from_dict(doc)
 
 
 def _split_baseline(records):

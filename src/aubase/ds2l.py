@@ -1,23 +1,24 @@
 """Density- and connectivity-driven clustering of a trained map.
 
-After training, each datum contributes evidence: the pair (BMU, second BMU)
-gets its neighbourhood value v incremented, and the lattice neighbours of the
-BMU that were not the second BMU are decremented by 1/M (clamped at zero), so
-only borders actually straddled by data keep positive connectivity. Each unit
-also gets a local density estimate (a spherical Gaussian kernel over all
-data with bandwidth rho) and a variability (mean distance to the data it
-represents).
+Enrichment finds each datum's best and second-best matching units (BMU and
+second BMU) and gives every unit a local density estimate: a spherical
+Gaussian kernel over all data with bandwidth rho.
 
-Clusters emerge in two stages over the segmentation graph, whose vertices
-are the data-representing units and whose edges are v > 0 pairs plus
-lattice-adjacent representing pairs (the lattice itself witnesses adjacency
-where a small batch gives v too few samples; empty units still separate
-regions, since they appear in neither edge set). Connected components of
-that graph are split by a watershed that grows sub-clusters downhill from
-density peaks, and adjacent sub-clusters merge when the density along their
-border reaches theta times the harmonic mean of their peak densities,
-iterated to a fixed point, so the number of clusters is an output, not an
-input.
+The segmentation graph joins two data-representing units when they are
+lattice 4-neighbours or the BMU and second BMU of some datum; units that
+represent no data are in neither edge set, so they always separate regions.
+The original DS2L-SOM (Cabanes & Bennani, 2008) takes its edges from a
+neighbourhood-value matrix alone: each datum increments its (BMU, second BMU)
+entry and decrements, by 1/M, the entries between its BMU and the BMU's
+other lattice neighbours. The lattice edges kept here witness adjacency where
+a small batch gives the pairs too few samples, and with them the decrement
+can never remove an edge, so the matrix reduces to the set of pairs.
+
+Connected components of the graph are split by a watershed that grows
+sub-clusters downhill from density peaks, and adjacent sub-clusters merge
+when the density along their border reaches theta times the harmonic mean of
+their peak densities, iterated to a fixed point, so the number of clusters is
+an output, not an input.
 """
 
 from __future__ import annotations
@@ -37,13 +38,10 @@ RHO_FLOOR = 1e-12
 @dataclass
 class EnrichedSom:
     som: SomModel
-    v: np.ndarray  # (M, M) symmetric neighbourhood values, zero diagonal
     density: np.ndarray  # (M,)
-    variability: np.ndarray  # (M,)
     rho: float
     bmu1: np.ndarray  # (n,) BMU per datum
     bmu2: np.ndarray  # (n,) second BMU per datum
-    n_data: int
 
 
 @dataclass
@@ -54,17 +52,6 @@ class ClusterPartition:
     modes: list  # density-peak unit per cluster
 
 
-def lattice_neighbors(som: SomModel, unit: int) -> list:
-    rows, cols = som.grid
-    r, c = divmod(unit, cols)
-    out = []
-    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        rr, cc = r + dr, c + dc
-        if 0 <= rr < rows and 0 <= cc < cols:
-            out.append(rr * cols + cc)
-    return out
-
-
 def mean_nn_distance(weights: np.ndarray) -> float:
     """Average distance from each prototype to its nearest other prototype."""
     d2 = _kernels.pairwise_sqdist(weights, weights)
@@ -73,101 +60,60 @@ def mean_nn_distance(weights: np.ndarray) -> float:
 
 
 def enrich(model: SomModel, data: np.ndarray, rho: float | None = None) -> EnrichedSom:
-    """Accumulate neighbourhood values, densities, and variabilities."""
+    """BMU and second BMU per datum, and a density per unit."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[0] == 0:
         raise InvalidArgumentError("enrich needs at least one datum")
     if model.n_units < 2:
         raise InvalidArgumentError("enrich needs a map with at least 2 units")
-    m = model.n_units
     d2 = _kernels.pairwise_sqdist(data, model.weights)  # (n, M)
     bmu1 = np.argmin(d2, axis=1)
     masked = d2.copy()
     masked[np.arange(len(bmu1)), bmu1] = np.inf
     bmu2 = np.argmin(masked, axis=1)
-
-    delta = 1.0 / m
-    v = np.zeros((m, m))
-    for a, b in zip(bmu1, bmu2):
-        v[a, b] += 1.0
-        v[b, a] += 1.0
-        for k in lattice_neighbors(model, int(a)):
-            if k != b:
-                v[a, k] = max(v[a, k] - delta, 0.0)
-                v[k, a] = v[a, k]
-
     if rho is None:
         rho = mean_nn_distance(model.weights)
     if rho <= 0.0:
         rho = RHO_FLOOR
     dens = np.exp(-d2 / (2.0 * rho * rho)).mean(axis=0) / (rho * math.sqrt(2.0 * math.pi))
-
-    variability = np.zeros(m)
-    dist = np.sqrt(d2)
-    for unit in range(m):
-        mask = bmu1 == unit
-        if np.any(mask):
-            variability[unit] = float(dist[mask, unit].mean())
-    return EnrichedSom(
-        som=model,
-        v=v,
-        density=dens,
-        variability=variability,
-        rho=float(rho),
-        bmu1=bmu1,
-        bmu2=bmu2,
-        n_data=data.shape[0],
-    )
+    return EnrichedSom(som=model, density=dens, rho=float(rho), bmu1=bmu1, bmu2=bmu2)
 
 
 def segmentation_adjacency(e: EnrichedSom) -> dict:
-    """Edges of the segmentation graph, per data-representing unit.
-
-    Two representing units are adjacent when v > 0 between them or when they
-    are lattice neighbours. Units with no data appear in neither edge set,
-    so they always separate regions.
-    """
-    occ = set(int(u) for u in e.bmu1)
+    """Sorted graph neighbours of each data-representing unit, keyed in
+    ascending unit order. Edges join lattice 4-neighbours and (BMU, second
+    BMU) pairs, and count only when both ends represent data."""
+    occ = set(e.bmu1.tolist())
+    cols = e.som.grid[1]
+    lattice = [(u, u + 1) for u in occ if (u + 1) % cols] + [(u, u + cols) for u in occ]
     adj = {u: set() for u in occ}
-    for u in occ:
-        for k in np.nonzero(e.v[u] > 0.0)[0]:
-            if int(k) in occ:
-                adj[u].add(int(k))
-                adj[int(k)].add(u)
-        for k in lattice_neighbors(e.som, u):
-            if k in occ:
-                adj[u].add(k)
-                adj[k].add(u)
+    for a, b in lattice + list(zip(e.bmu1.tolist(), e.bmu2.tolist())):
+        if a in occ and b in occ:
+            adj[a].add(b)
+            adj[b].add(a)
     return {u: sorted(adj[u]) for u in sorted(adj)}
 
 
-def connected_components(e: EnrichedSom) -> list:
-    """Maximal segmentation-graph components over data-representing units.
-
-    Units with no data are excluded and never bridge two components. Returned
-    as sorted lists, ordered by their smallest unit.
-    """
-    adj = segmentation_adjacency(e)
-    seen = set()
+def connected_components(adj: dict) -> list:
+    """Maximal components of the segmentation graph, as sorted lists ordered
+    by their smallest unit."""
+    seen: set = set()
     comps = []
     for start in adj:
         if start in seen:
             continue
-        stack = [start]
-        comp = []
+        stack, comp = [start], []
         seen.add(start)
         while stack:
-            u = stack.pop()
-            comp.append(u)
-            for k in adj[u]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
+            comp.append(stack.pop())
+            fresh = [k for k in adj[comp[-1]] if k not in seen]
+            seen.update(fresh)
+            stack.extend(fresh)
         comps.append(sorted(comp))
     return comps
 
 
-def watershed_split(e: EnrichedSom, component, adjacency: dict | None = None) -> list:
+def watershed_split(e: EnrichedSom, component, adj: dict) -> list:
     """Grow sub-clusters downhill from density peaks inside one component.
 
     Units are processed by descending density (lower index first on ties).
@@ -176,10 +122,8 @@ def watershed_split(e: EnrichedSom, component, adjacency: dict | None = None) ->
     densest assigned neighbour (again lowest index on ties). Every
     sub-cluster therefore contains exactly one density mode: its seed.
     """
-    adj = segmentation_adjacency(e) if adjacency is None else adjacency
-    comp = [int(u) for u in component]
-    comp_set = set(comp)
-    order = sorted(comp, key=lambda u: (-e.density[u], u))
+    comp_set = {int(u) for u in component}
+    order = sorted(comp_set, key=lambda u: (-e.density[u], u))
     label: dict = {}
     groups: list = []
     for u in order:
@@ -194,60 +138,55 @@ def watershed_split(e: EnrichedSom, component, adjacency: dict | None = None) ->
     return groups
 
 
-def _border_pairs(e: EnrichedSom, cluster_a, cluster_b, adjacency: dict | None = None):
-    adj = segmentation_adjacency(e) if adjacency is None else adjacency
-    pairs = []
-    set_b = set(int(u) for u in cluster_b)
-    for i in cluster_a:
-        for j in adj.get(int(i), ()):
-            if j in set_b:
-                pairs.append((int(i), j))
-    return pairs
+def _borders(e: EnrichedSom, groups: list, adj: dict):
+    """One pass over the edges: each group's peak density and, for each
+    adjacent pair (a, b) with a < b, the highest min-density of an edge
+    between them."""
+    owner = {u: k for k, g in enumerate(groups) for u in g}
+    peaks = [float(max(e.density[u] for u in g)) for g in groups]
+    border: dict = {}
+    for a, g in enumerate(groups):
+        for u in g:
+            for k in adj.get(u, ()):
+                b = owner.get(k, -1)
+                if b > a:
+                    d = min(e.density[u], e.density[k])
+                    border[a, b] = max(border.get((a, b), d), d)
+    return peaks, border
 
 
-def merge_check(
-    e: EnrichedSom, cluster_a, cluster_b, theta: float = 0.35, adjacency: dict | None = None
-) -> bool:
-    """Merge rule: border density reaches theta times the harmonic mean of
-    the two peak densities. Clusters must share at least one graph border."""
-    pairs = _border_pairs(e, cluster_a, cluster_b, adjacency)
-    if not pairs:
-        raise InvalidArgumentError("clusters are not adjacent; no shared border")
-    border = max(min(e.density[i], e.density[j]) for i, j in pairs)
-    peak_a = float(max(e.density[int(u)] for u in cluster_a))
-    peak_b = float(max(e.density[int(u)] for u in cluster_b))
+def _passes(border: float, peak_a: float, peak_b: float, theta: float) -> bool:
+    """Border density reaches theta times the harmonic mean of the peaks."""
     if peak_a <= 0.0 or peak_b <= 0.0:
         return True
-    tau = 2.0 / (1.0 / peak_a + 1.0 / peak_b) * theta
-    return bool(border >= tau)
+    return bool(border >= 2.0 / (1.0 / peak_a + 1.0 / peak_b) * theta)
 
 
-def _merge_fixpoint(
-    e: EnrichedSom, groups: list, theta: float, adjacency: dict, order_rng=None
-) -> list:
-    """Merge adjacent sub-clusters until no pair passes merge_check.
+def merge_check(e: EnrichedSom, cluster_a, cluster_b, theta: float, adj: dict) -> bool:
+    """Merge rule for two clusters that share at least one graph border."""
+    groups = [[int(u) for u in cluster_a], [int(u) for u in cluster_b]]
+    peaks, border = _borders(e, groups, adj)
+    if (0, 1) not in border:
+        raise InvalidArgumentError("clusters are not adjacent; no shared border")
+    return _passes(border[0, 1], peaks[0], peaks[1], theta)
 
-    Pairs are scanned in a deterministic sorted order unless an RNG is given
-    (used by tests to show the fixed point does not depend on scan order).
+
+def _merge_fixpoint(e: EnrichedSom, groups: list, theta: float, adj: dict) -> list:
+    """Merge adjacent sub-clusters until no pair passes the merge rule.
+
+    Groups are ordered by their smallest unit and pairs scanned in that
+    order; the first pair that passes merges, and the scan starts again.
     """
-    groups = [sorted(g) for g in groups]
-    changed = True
-    while changed:
-        changed = False
-        idx = sorted(range(len(groups)), key=lambda k: groups[k][0])
-        pairs = [(a, b) for ai, a in enumerate(idx) for b in idx[ai + 1:]]
-        if order_rng is not None:
-            order_rng.shuffle(pairs)
-        for a, b in pairs:
-            if not _border_pairs(e, groups[a], groups[b], adjacency):
-                continue
-            if merge_check(e, groups[a], groups[b], theta, adjacency):
-                merged = sorted(groups[a] + groups[b])
-                groups = [g for k, g in enumerate(groups) if k not in (a, b)]
-                groups.append(merged)
-                changed = True
+    groups = sorted((sorted(g) for g in groups), key=lambda g: g[0])
+    while True:
+        peaks, border = _borders(e, groups, adj)
+        for a, b in sorted(border):
+            if _passes(border[a, b], peaks[a], peaks[b], theta):
+                rest = [g for k, g in enumerate(groups) if k not in (a, b)]
+                groups = sorted(rest + [sorted(groups[a] + groups[b])], key=lambda g: g[0])
                 break
-    return groups
+        else:
+            return groups
 
 
 def cluster(e: EnrichedSom, theta: float = 0.35) -> ClusterPartition:
@@ -258,7 +197,7 @@ def cluster(e: EnrichedSom, theta: float = 0.35) -> ClusterPartition:
     """
     adj = segmentation_adjacency(e)
     final_groups = []
-    for comp in connected_components(e):
+    for comp in connected_components(adj):
         groups = watershed_split(e, comp, adj)
         final_groups.extend(_merge_fixpoint(e, groups, theta, adj))
     final_groups.sort(key=lambda g: g[0])
@@ -268,10 +207,4 @@ def cluster(e: EnrichedSom, theta: float = 0.35) -> ClusterPartition:
         for u in group:
             unit_label[u] = cid
         modes.append(min(group, key=lambda u: (-e.density[u], u)))
-    datum_label = unit_label[e.bmu1]
-    return ClusterPartition(
-        n_clusters=len(final_groups),
-        unit_label=unit_label,
-        datum_label=datum_label,
-        modes=modes,
-    )
+    return ClusterPartition(len(final_groups), unit_label, unit_label[e.bmu1], modes)

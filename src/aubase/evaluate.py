@@ -100,25 +100,6 @@ def fpr_at_tpr(curve: RocCurve, tpr_target: float = 0.95) -> float:
     return float(curve.fpr[ok].min())
 
 
-@dataclass
-class AucComparison:
-    auc_a: float
-    auc_b: float
-    delta: float
-
-
-def compare_auc(curve_a: RocCurve, curve_b: RocCurve) -> AucComparison:
-    """AUC difference for two detectors scored on the same experiments."""
-    if (curve_a.n_pos, curve_a.n_neg) != (curve_b.n_pos, curve_b.n_neg):
-        raise InvalidArgumentError(
-            "curves were built from different experiment sets "
-            f"({curve_a.n_pos}/{curve_a.n_neg} vs {curve_b.n_pos}/{curve_b.n_neg})"
-        )
-    a = auc(curve_a)
-    b = auc(curve_b)
-    return AucComparison(auc_a=a, auc_b=b, delta=a - b)
-
-
 def roc_rows(curve: RocCurve) -> list:
     """(threshold, fpr, tpr) tuples, ready for CSV export."""
     return [

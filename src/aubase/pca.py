@@ -124,20 +124,6 @@ def fit(matrix: FeatureMatrix, variance_threshold: float = 0.95) -> PcaModel:
     )
 
 
-def project(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    """Scores T = normalize(x) Xi for one row (m,) or a block (k, m)."""
-    xs = apply_scaling(np.asarray(x, dtype=float), model.scaling)
-    return xs @ model.loadings
-
-
-def reconstruct(model: PcaModel, scores: np.ndarray) -> np.ndarray:
-    """Normalized-space reconstruction T Xi^T."""
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape[-1] != model.r:
-        raise InvalidArgumentError(f"scores must have {model.r} columns")
-    return scores @ model.loadings.T
-
-
 def spe(model: PcaModel, x: np.ndarray):
     """Squared prediction error; scalar for one row, vector for a block."""
     xs = apply_scaling(np.asarray(x, dtype=float), model.scaling)

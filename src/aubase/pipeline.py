@@ -85,6 +85,11 @@ class PipelineConfig:
                 raise InvalidArgumentError(
                     f"pipeline config field {key!r} must be {kind}, got {value!r}"
                 )
+            if key in _CONFIG_RANGES and not _CONFIG_RANGES[key][1](value):
+                raise InvalidArgumentError(
+                    f"pipeline config field {key!r} must be {_CONFIG_RANGES[key][0]}, "
+                    f"got {value!r}"
+                )
             if key in ("grid", "second_grid"):
                 kwargs[key] = tuple(value)
         return cls(**kwargs)
@@ -113,6 +118,17 @@ _CONFIG_KINDS = {
     "rho": "a number", "labeled_decisions": "a boolean", "seed": "an integer",
 }
 _OPTIONAL_FIELDS = {"level", "grid", "second_grid", "lambda_start", "rho"}
+_AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
+_POSITIVE = ("> 0", lambda v: v > 0)
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+# allowed values of the numeric fields, checked once the kind is right
+_CONFIG_RANGES = {
+    "train_frac": ("in (0, 1)", lambda v: 0 < v < 1),
+    "variance_threshold": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "max_level": _AT_LEAST_ONE, "level": _AT_LEAST_ONE, "epochs": _AT_LEAST_ONE,
+    "lambda_start": _POSITIVE, "lambda_end": _POSITIVE, "rho": _POSITIVE,
+    "theta": _NON_NEGATIVE, "seed": _NON_NEGATIVE,
+}
 
 
 @dataclass
@@ -156,9 +172,6 @@ class BaselineBank:
     train_keys: list
     val_keys: list
     validation: list  # list[SpeVector] for the held-out baselines
-
-    def state_tag(self) -> str:
-        return "baseline-bank"
 
 
 @dataclass
@@ -229,6 +242,14 @@ def train_phase1(records, config: PipelineConfig | None = None) -> BaselineBank:
             f"training expects baseline records only; found {len(bad)} others "
             f"(first: {bad[0]})"
         )
+    if config.level is not None:
+        # the cap select_level applies: at least one coefficient remains
+        cap = min(np.size(r.samples) for r in records).bit_length() - 1
+        if config.level > cap:
+            raise InvalidArgumentError(
+                f"level {config.level} exceeds {cap}, the deepest level the "
+                "shortest record allows"
+            )
     layouts = build_step_layouts(records)
     step_ids = sorted(layouts)
     key_lists = {s: [slot.key for slot in layouts[s].experiments] for s in step_ids}
@@ -243,6 +264,7 @@ def train_phase1(records, config: PipelineConfig | None = None) -> BaselineBank:
     by_id = {r.id: r for r in records}
 
     steps = {}
+    val_rows = {}
     for si, s in enumerate(step_ids):
         layout = layouts[s]
         train_slots = [layout.experiments[i] for i in train_idx]
@@ -255,6 +277,7 @@ def train_phase1(records, config: PipelineConfig | None = None) -> BaselineBank:
                                   for rid in slot.record_ids.values()], level)
         fm_all = unfold(features, layout)
         fm_train = fm_all.subset(train_idx)
+        val_rows[s] = fm_all.subset(val_idx)
 
         grid = config.grid or som.default_grid(fm_train.n)
         model = som.init_som(
@@ -317,23 +340,13 @@ def train_phase1(records, config: PipelineConfig | None = None) -> BaselineBank:
         val_keys=[ref_keys[i] for i in val_idx],
         validation=[],
     )
-    _attach_validation(bank, layouts, val_idx, by_id)
+    _attach_validation(bank, val_rows)
     return bank
 
 
-def _attach_validation(bank: BaselineBank, layouts, val_idx, by_id) -> None:
-    """Score the held-out baselines and stash their SPE vectors in the bank."""
-    if not val_idx:
-        return
-    rows_by_step = {}
-    for s in bank.step_ids:
-        step = bank.steps[s]
-        layout = layouts[s].subset(val_idx)
-        features = _features_for(
-            [by_id[rid] for slot in layout.experiments for rid in slot.record_ids.values()],
-            step.level,
-        )
-        rows_by_step[s] = unfold(features, layout)
+def _attach_validation(bank: BaselineBank, rows_by_step: dict) -> None:
+    """Score the held-out baselines (each step's unfolded validation rows)
+    and stash their SPE vectors in the bank."""
     exceed = {s: 0 for s in bank.step_ids}
     vectors = []
     for pos, key in enumerate(bank.val_keys):

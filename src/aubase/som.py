@@ -15,7 +15,7 @@ side) to lambda_end = 0.5 over the epoch budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,6 +86,8 @@ def init_som(
         raise InvalidArgumentError("init data must be a nonempty 2-D array")
     if kernel_form not in ("normalized", "gaussian"):
         raise InvalidArgumentError(f"unknown kernel_form {kernel_form!r}")
+    if not lambda_end > 0.0 or (lambda_start is not None and not lambda_start > 0.0):
+        raise InvalidArgumentError("kernel width must be positive")
     pos = _lattice_positions((rows, cols))
     dim = data.shape[1]
     if mode == "random":
@@ -128,21 +130,6 @@ def init_som(
     )
 
 
-def lattice_distance(model: SomModel, i: int, j: int) -> float:
-    diff = model.unit_pos[i] - model.unit_pos[j]
-    return float(np.hypot(diff[0], diff[1]))
-
-
-def kernel(model: SomModel, i: int, j: int, lam: float) -> float:
-    """Neighbourhood strength between units i and j at width lam."""
-    if lam <= 0.0:
-        raise InvalidArgumentError("kernel width must be positive")
-    d2 = float(np.sum((model.unit_pos[i] - model.unit_pos[j]) ** 2))
-    if model.kernel_form == "normalized":
-        return (1.0 / lam) * math.exp(-d2 / (lam * lam))
-    return math.exp(-d2 / (2.0 * lam * lam))
-
-
 def _kernel_matrix(model: SomModel, lam: float) -> np.ndarray:
     d2 = _kernels.pairwise_sqdist(model.unit_pos, model.unit_pos)
     if model.kernel_form == "normalized":
@@ -159,18 +146,6 @@ def bmu_indices(model: SomModel, data: np.ndarray) -> np.ndarray:
 
 def bmu(model: SomModel, x: np.ndarray) -> int:
     return int(bmu_indices(model, x)[0])
-
-
-def bmu_pair(model: SomModel, x: np.ndarray):
-    """Indices of the closest and second-closest units (lowest index on ties)."""
-    if model.n_units < 2:
-        raise InvalidArgumentError("second BMU undefined on a single-unit map")
-    x = np.asarray(x, dtype=float)
-    d2 = _kernels.pairwise_sqdist(x[None, :], model.weights)[0]
-    first = int(np.argmin(d2))
-    d2[first] = np.inf
-    second = int(np.argmin(d2))
-    return first, second
 
 
 def quantization_error(model: SomModel, data: np.ndarray) -> float:
@@ -220,15 +195,6 @@ def train(model: SomModel, data: np.ndarray, epochs: int = DEFAULT_EPOCHS):
         work = replace(work, weights=weights)
     trace.append(quantization_error(work, data))
     return replace(work, trained_epochs=model.trained_epochs + epochs), trace
-
-
-def som_cost(model: SomModel, data: np.ndarray, lam: float) -> float:
-    """Batch energy: mean over data of sum_j K(j, bmu) ||m_j - x||^2."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    kmat = _kernel_matrix(model, lam)
-    d2 = _kernels.pairwise_sqdist(data, model.weights)  # (n, units)
-    assign = np.argmin(d2, axis=1)
-    return float((kmat[:, assign].T * d2).sum() / data.shape[0])
 
 
 def u_matrix(model: SomModel) -> np.ndarray:

@@ -341,3 +341,37 @@ def test_train_rejects_mistyped_config_field(workflow, tmp_path, capsys, doc):
     rc = cli.main(["train", "--data", data, "--config", cfg_path, "--out", str(tmp_path / "b")])
     assert rc == 1
     assert next(iter(doc)) in capsys.readouterr().err
+
+
+RANGE_CASES = {
+    "train-frac-zero": {"train_frac": 0}, "train-frac-one": {"train_frac": 1.0},
+    "train-frac-two": {"train_frac": 2}, "variance-zero": {"variance_threshold": 0.0},
+    "variance-above-one": {"variance_threshold": 1.5}, "epochs-zero": {"epochs": 0},
+    "max-level-zero": {"max_level": 0}, "level-zero": {"level": 0},
+    "level-40": {"level": 40}, "lambda-start-negative": {"lambda_start": -1},
+    "lambda-start-zero": {"lambda_start": 0.0}, "lambda-end-zero": {"lambda_end": 0},
+    "theta-negative": {"theta": -1}, "rho-negative": {"rho": -1.0},
+    "rho-zero": {"rho": 0.0}, "seed-negative": {"seed": -1},
+}
+
+
+@pytest.mark.parametrize("doc", list(RANGE_CASES.values()), ids=list(RANGE_CASES))
+def test_train_rejects_out_of_range_config_field(workflow, tmp_path, capsys, doc):
+    # level 40 passes the field check and is refused against the record
+    # length before any zero padding is allocated
+    data = workflow[2]
+    cfg_path = str(tmp_path / "pipe.json")
+    store.write_json(cfg_path, doc)
+    out = tmp_path / "b"
+    rc = cli.main(["train", "--data", data, "--config", cfg_path, "--out", str(out)])
+    assert rc == 1
+    assert next(iter(doc)) in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_train_rejects_negative_seed_override(workflow, tmp_path, capsys):
+    out = tmp_path / "b"
+    rc = cli.main(["train", "--data", workflow[2], "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()

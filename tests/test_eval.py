@@ -180,22 +180,8 @@ def test_fpr_at_tpr_matches_bruteforce_scan():
 
 
 # ---------------------------------------------------------------------------
-# comparison and export rows
+# export rows
 # ---------------------------------------------------------------------------
-
-
-def test_compare_auc_identical_scores_delta_zero():
-    curve = evaluate.roc([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
-    rep = evaluate.compare_auc(curve, curve)
-    assert rep.delta == 0.0
-    assert rep.auc_a == rep.auc_b
-
-
-def test_compare_auc_rejects_mismatched_sets():
-    a = evaluate.roc([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
-    b = evaluate.roc([1.0, 2.0, 3.0], [0, 1, 1])
-    with pytest.raises(InvalidArgumentError):
-        evaluate.compare_auc(a, b)
 
 
 def test_roc_rows_mirror_curve():

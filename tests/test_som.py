@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aubase import som
+from aubase import ds2l, som
 from aubase.errors import InvalidArgumentError
 
 
@@ -72,31 +72,39 @@ def test_init_validation():
 def test_kernel_hand_values_normalized_form():
     model = som.init_som((1, 2), blob_data(4, dim=2), mode="random", seed=0)
     assert model.kernel_form == "normalized"
-    assert abs(som.kernel(model, 0, 0, 1.0) - 1.0) < 1e-12
-    assert abs(som.kernel(model, 0, 1, 1.0) - math.exp(-1.0)) < 1e-12
+    kmat = som._kernel_matrix(model, 1.0)
+    assert abs(kmat[0, 0] - 1.0) < 1e-12
+    assert abs(kmat[0, 1] - math.exp(-1.0)) < 1e-12
     # symmetric, decaying with lattice distance
-    assert som.kernel(model, 0, 1, 1.0) == som.kernel(model, 1, 0, 1.0)
+    assert kmat[0, 1] == kmat[1, 0]
+    # the leading 1/lambda of the normalized form
+    assert abs(som._kernel_matrix(model, 2.0)[0, 0] - 0.5) < 1e-12
 
 
 def test_kernel_gaussian_form():
     model = som.init_som(
         (1, 2), blob_data(5, dim=2), mode="random", seed=0, kernel_form="gaussian"
     )
-    assert abs(som.kernel(model, 0, 0, 1.0) - 1.0) < 1e-12
-    assert abs(som.kernel(model, 0, 1, 1.0) - math.exp(-0.5)) < 1e-12
+    kmat = som._kernel_matrix(model, 1.0)
+    assert abs(kmat[0, 0] - 1.0) < 1e-12
+    assert abs(kmat[0, 1] - math.exp(-0.5)) < 1e-12
 
 
 def test_kernel_rejects_nonpositive_width():
-    model = som.init_som((2, 2), blob_data(6, dim=2), mode="random", seed=0)
-    with pytest.raises(InvalidArgumentError):
-        som.kernel(model, 0, 1, 0.0)
+    data = blob_data(6, dim=2)
+    for widths in ({"lambda_start": 0.0}, {"lambda_start": -1.0}, {"lambda_end": 0.0}):
+        with pytest.raises(InvalidArgumentError):
+            som.init_som((2, 2), data, mode="random", seed=0, **widths)
 
 
 def test_lattice_distance_euclidean():
     model = som.init_som((3, 4), blob_data(7, dim=2), mode="random", seed=0)
-    # unit 0 is (0,0); unit 5 is (1,1) in a 4-wide row-major layout
-    assert abs(som.lattice_distance(model, 0, 5) - math.sqrt(2.0)) < 1e-12
-    assert som.lattice_distance(model, 2, 2) == 0.0
+    # unit 0 is (0,0); unit 5 is (1,1) in a 4-wide row-major layout, and the
+    # kernel sees their squared lattice distance
+    assert np.array_equal(model.unit_pos[5], [1.0, 1.0])
+    kmat = som._kernel_matrix(model, 1.0)
+    assert abs(kmat[0, 5] - math.exp(-2.0)) < 1e-12
+    assert kmat[2, 2] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +128,21 @@ def test_bmu_tie_breaks_to_lower_index():
 
 
 def test_bmu_pair_distinct_units():
+    # the (BMU, second BMU) pairs the clustering reads come from ds2l.enrich
     model = som.init_som((3, 3), blob_data(10, dim=2), mode="random", seed=2)
-    first, second = som.bmu_pair(model, np.array([0.1, -0.2]))
-    assert first != second
-    d2 = np.sum((model.weights - np.array([0.1, -0.2])) ** 2, axis=1)
-    order = np.argsort(d2, kind="stable")
-    assert first == order[0] and second == order[1]
+    data = blob_data(12, n=20, dim=2)
+    e = ds2l.enrich(model, data)
+    assert np.all(e.bmu1 != e.bmu2)
+    for i, x in enumerate(data):
+        d2 = np.sum((model.weights - x) ** 2, axis=1)
+        order = np.argsort(d2, kind="stable")
+        assert e.bmu1[i] == order[0] and e.bmu2[i] == order[1]
 
 
 def test_bmu_pair_needs_two_units():
     model = som.init_som((1, 1), blob_data(11, dim=2), mode="random", seed=0)
     with pytest.raises(InvalidArgumentError):
-        som.bmu_pair(model, np.zeros(2))
+        ds2l.enrich(model, np.zeros((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +205,13 @@ def test_train_trace_matches_per_epoch_quantization_error():
     assert trace == want
 
 
+def som_cost(model, data, lam):
+    """Batch energy: mean over data of sum_j K(j, bmu) ||m_j - x||^2."""
+    d2 = np.sum((data[:, None, :] - model.weights[None, :, :]) ** 2, axis=2)
+    kmat = som._kernel_matrix(model, lam)
+    return float((kmat[:, np.argmin(d2, axis=1)].T * d2).sum() / data.shape[0])
+
+
 def test_batch_cost_decreases_for_most_seeds():
     wins = 0
     for seed in range(20):
@@ -201,7 +219,7 @@ def test_batch_cost_decreases_for_most_seeds():
         model = som.init_som((4, 4), data, mode="random", seed=seed)
         trained, _ = som.train(model, data, epochs=25)
         lam = model.lambda_end
-        if som.som_cost(trained, data, lam) < som.som_cost(model, data, lam):
+        if som_cost(trained, data, lam) < som_cost(model, data, lam):
             wins += 1
     assert wins >= 18
 
