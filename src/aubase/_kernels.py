@@ -15,7 +15,7 @@ def analysis_level(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """One analysis level along the last axis of a (..., n) array: periodic
     extension, correlation with the filter f, downsampling by 2.
 
-    Returns (..., n // 2) for even n. Every row goes through the same
+    Returns (..., ceil(n / 2)). Every row goes through the same
     per-row inner loop, so a row gives the same bits alone or in a block.
     """
     n = x.shape[-1]
@@ -24,7 +24,14 @@ def analysis_level(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     # cyclically, which also covers n < taps - 1
     head = np.take(x, np.arange(taps - 1) % n, axis=-1)
     xp = np.concatenate([x, head], axis=-1)
-    win = np.lib.stride_tricks.sliding_window_view(xp, taps, axis=-1)[..., ::2, :]
+    # one read-only view of the windows starting at 0, 2, 4, ...
+    step = xp.strides[-1]
+    win = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=xp.shape[:-1] + ((n + 1) // 2, taps),
+        strides=xp.strides[:-1] + (2 * step, step),
+        writeable=False,
+    )
     return win @ f
 
 
@@ -44,10 +51,19 @@ def idwt_level(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray):
     return np.bincount(idx.ravel(), weights=contrib.ravel(), minlength=n)
 
 
-def pairwise_sqdist(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Squared distances, shape (len(points), len(refs)). Clipped at 0."""
-    p2 = np.einsum("ij,ij->i", points, points)[:, None]
-    r2 = np.einsum("ij,ij->i", refs, refs)[None, :]
+def row_sqnorms(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row of a 2-D array."""
+    return np.einsum("ij,ij->i", x, x)
+
+
+def pairwise_sqdist(points: np.ndarray, refs: np.ndarray, points_sq=None) -> np.ndarray:
+    """Squared distances, shape (len(points), len(refs)). Clipped at 0.
+
+    points_sq, when given, is row_sqnorms(points), computed once by a caller
+    that measures the same points against changing refs.
+    """
+    p2 = (row_sqnorms(points) if points_sq is None else points_sq)[:, None]
+    r2 = row_sqnorms(refs)[None, :]
     d2 = p2 + r2 - 2.0 * (points @ refs.T)
     np.clip(d2, 0.0, None, out=d2)
     return d2

@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import math
 import os
@@ -157,12 +156,14 @@ def _cmd_generate(args, argv) -> int:
         doc = store.read_json(args.scenario)
         if not isinstance(doc, dict):
             raise DataFormatError("scenario config must be a JSON object")
-        config = signals.scenario_from_dict(doc)
     else:
         preset = args.preset or "reference"
-        config = signals.reference_scenario(with_damage=(preset == "reference-damage"))
+        doc = signals.scenario_to_dict(
+            signals.reference_scenario(with_damage=(preset == "reference-damage"))
+        )
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        doc = {**doc, "seed": args.seed}
+    config = signals.scenario_from_dict(doc)
 
     records = signals.generate_dataset(config)
     os.makedirs(args.out, exist_ok=True)

@@ -33,9 +33,13 @@ import numpy as np
 
 from . import ds2l, pca, som, wavelet
 from .errors import (
+    AT_LEAST_ONE,
+    NON_NEGATIVE,
+    POSITIVE,
     DegenerateDataError,
     InvalidArgumentError,
     LayoutError,
+    check_fields,
 )
 from .fusion import FeatureMatrix, build_step_layouts, unfold
 
@@ -76,58 +80,32 @@ class PipelineConfig:
         extra = set(d) - known
         if extra:
             raise InvalidArgumentError(f"unknown pipeline config fields: {sorted(extra)}")
+        check_fields(d, "pipeline config", _CONFIG_KINDS, _CONFIG_RANGES, _OPTIONAL_FIELDS)
         kwargs = dict(d)
-        for key, value in d.items():
-            if value is None and key in _OPTIONAL_FIELDS:
-                continue
-            kind = _CONFIG_KINDS[key]
-            if not _CONFIG_CHECKS[kind](value):
-                raise InvalidArgumentError(
-                    f"pipeline config field {key!r} must be {kind}, got {value!r}"
-                )
-            if key in _CONFIG_RANGES and not _CONFIG_RANGES[key][1](value):
-                raise InvalidArgumentError(
-                    f"pipeline config field {key!r} must be {_CONFIG_RANGES[key][0]}, "
-                    f"got {value!r}"
-                )
-            if key in ("grid", "second_grid"):
-                kwargs[key] = tuple(value)
+        for key in ("grid", "second_grid"):
+            if kwargs.get(key) is not None:
+                kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-_CONFIG_CHECKS = {
-    "an integer": _is_int,
-    "a number": lambda v: _is_int(v) or isinstance(v, (float, np.floating)),
-    "a string": lambda v: isinstance(v, str),
-    "a boolean": lambda v: isinstance(v, bool),
-    "two positive integers": lambda v: (
-        isinstance(v, (list, tuple)) and len(v) == 2 and all(_is_int(x) and x >= 1 for x in v)
-    ),
-}
 # JSON value kind of each PipelineConfig field; the optional ones may be null
 _CONFIG_KINDS = {
-    "train_frac": "a number", "variance_threshold": "a number",
+    "train_frac": "a finite number", "variance_threshold": "a finite number",
     "max_level": "an integer", "level": "an integer",
     "grid": "two positive integers", "second_grid": "two positive integers",
-    "epochs": "an integer", "lambda_start": "a number", "lambda_end": "a number",
-    "kernel_form": "a string", "init": "a string", "theta": "a number",
-    "rho": "a number", "labeled_decisions": "a boolean", "seed": "an integer",
+    "epochs": "an integer", "lambda_start": "a finite number",
+    "lambda_end": "a finite number", "kernel_form": "a string", "init": "a string",
+    "theta": "a finite number", "rho": "a finite number", "labeled_decisions": "a boolean",
+    "seed": "an integer",
 }
 _OPTIONAL_FIELDS = {"level", "grid", "second_grid", "lambda_start", "rho"}
-_AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
-_POSITIVE = ("> 0", lambda v: v > 0)
-_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 # allowed values of the numeric fields, checked once the kind is right
 _CONFIG_RANGES = {
     "train_frac": ("in (0, 1)", lambda v: 0 < v < 1),
     "variance_threshold": ("in (0, 1]", lambda v: 0 < v <= 1),
-    "max_level": _AT_LEAST_ONE, "level": _AT_LEAST_ONE, "epochs": _AT_LEAST_ONE,
-    "lambda_start": _POSITIVE, "lambda_end": _POSITIVE, "rho": _POSITIVE,
-    "theta": _NON_NEGATIVE, "seed": _NON_NEGATIVE,
+    "max_level": AT_LEAST_ONE, "level": AT_LEAST_ONE, "epochs": AT_LEAST_ONE,
+    "lambda_start": POSITIVE, "lambda_end": POSITIVE, "rho": POSITIVE,
+    "theta": NON_NEGATIVE, "seed": NON_NEGATIVE,
 }
 
 
@@ -320,6 +298,11 @@ def train_phase1(records, config: PipelineConfig | None = None) -> BaselineBank:
                 spe_threshold=threshold,
                 n_members=int(member_idx.size),
             )
+        if all(c.model is None for c in clusters.values()):
+            # detection scores novel rows against some modeled cluster
+            raise DegenerateDataError(
+                f"step {s}: no cluster of the baseline map has a usable PCA model"
+            )
         steps[s] = StepModel(
             actuator_id=s,
             level=level,
@@ -501,7 +484,13 @@ def _experiment_rows(bank: BaselineBank, records):
 
 
 def detect(bank: BaselineBank, records, config: PipelineConfig | None = None) -> DetectionReport:
-    """Score a batch of experiments against the bank and classify them."""
+    """Score a batch of experiments against the bank and classify them.
+
+    The first-level selection and SPE scores of an experiment depend only
+    on its own records. The second-level decision does not: the second map
+    is refit on every call over the bank's validation references plus this
+    batch's SPE vectors, so it depends on the rest of the batch.
+    """
     config = config or bank.config
     records = list(records)
     if not records:

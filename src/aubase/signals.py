@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import DataFormatError, InvalidArgumentError
+from .errors import NON_NEGATIVE, DataFormatError, InvalidArgumentError, check_fields
 
 MANIFEST_KEYS = (
     "id",
@@ -158,6 +158,9 @@ def _validate_config(config: ScenarioConfig) -> None:
         raise InvalidArgumentError("n_repeats must be >= 1")
     if config.temp_jitter_c < 0:
         raise InvalidArgumentError("temp_jitter_c must be >= 0")
+    if any(sev <= 0 for sev in config.damage_severities):
+        # synthesize adds the damage echo only for a positive severity
+        raise InvalidArgumentError("damage_severities must all be > 0")
     if config.n_samples < 2:
         raise InvalidArgumentError("n_samples must be >= 2")
     duration = config.n_samples / config.sample_rate_hz
@@ -423,11 +426,28 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     return d
 
 
+# JSON value kind of each ScenarioConfig field; the optional ones may be null.
+# Value ranges other than the seed's are checked by _validate_config.
+_SCENARIO_KINDS = {
+    "carrier_freq_hz": "a finite number", "n_cycles": "an integer",
+    "amplitude": "a finite number", "n_transducers": "an integer",
+    "temperatures_c": "a list of finite numbers",
+    "echoes": "a list of finite number pairs",
+    "temp_stretch_per_c": "a finite number", "temp_gain_per_c": "a finite number",
+    "temp_jitter_c": "a finite number", "damage_severities": "a list of finite numbers",
+    "damage_echo": "two finite numbers", "damage_temperatures_c": "a list of finite numbers",
+    "noise_snr_db": "a finite number", "n_repeats": "an integer",
+    "sample_rate_hz": "a finite number", "n_samples": "an integer", "seed": "an integer",
+}
+_OPTIONAL_FIELDS = {"damage_temperatures_c", "noise_snr_db"}
+
+
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     known = {f for f in ScenarioConfig.__dataclass_fields__}
     extra = set(d) - known
     if extra:
         raise DataFormatError(f"unknown scenario fields: {sorted(extra)}")
+    check_fields(d, "scenario", _SCENARIO_KINDS, {"seed": NON_NEGATIVE}, _OPTIONAL_FIELDS)
     kwargs = dict(d)
     if "echoes" in kwargs:
         kwargs["echoes"] = [tuple(e) for e in kwargs["echoes"]]

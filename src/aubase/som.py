@@ -130,11 +130,11 @@ def init_som(
     )
 
 
-def _kernel_matrix(model: SomModel, lam: float) -> np.ndarray:
-    d2 = _kernels.pairwise_sqdist(model.unit_pos, model.unit_pos)
-    if model.kernel_form == "normalized":
-        return np.exp(-d2 / (lam * lam)) / lam
-    return np.exp(-d2 / (2.0 * lam * lam))
+def _kernel_matrix(lattice_d2: np.ndarray, kernel_form: str, lam: float) -> np.ndarray:
+    """Neighbourhood kernel at width lam from squared lattice distances."""
+    if kernel_form == "normalized":
+        return np.exp(-lattice_d2 / (lam * lam)) / lam
+    return np.exp(-lattice_d2 / (2.0 * lam * lam))
 
 
 def bmu_indices(model: SomModel, data: np.ndarray) -> np.ndarray:
@@ -167,8 +167,10 @@ def train(model: SomModel, data: np.ndarray, epochs: int = DEFAULT_EPOCHS):
     the kernel-weighted average sum_n K(j, bmu_n) x_n / sum_n K(j, bmu_n).
     Prototypes whose accumulated kernel mass underflows to zero keep their
     previous value. The trace holds the quantization error after init and
-    after every epoch; all but the last entry are read off the distances
-    each epoch computes for its BMU assignment anyway.
+    after every epoch, read off the distances each BMU assignment computes.
+    The lattice distances and data row norms are computed once per fit; an
+    epoch computes its kernel, the distances to the current prototypes and
+    the update, written into one working copy of the weights.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != model.dim:
@@ -177,24 +179,22 @@ def train(model: SomModel, data: np.ndarray, epochs: int = DEFAULT_EPOCHS):
         raise InvalidArgumentError("cannot train on empty data")
     if epochs < 1:
         raise InvalidArgumentError("epochs must be >= 1")
+    lattice_d2 = _kernels.pairwise_sqdist(model.unit_pos, model.unit_pos)
+    data_sq = _kernels.row_sqnorms(data)
     weights = model.weights.copy()
-    work = replace(model, weights=weights)
     trace = []
-    for epoch in range(epochs):
-        lam = lambda_schedule(model, epoch, epochs)
-        kmat = _kernel_matrix(work, lam)
-        d2 = _kernels.pairwise_sqdist(data, weights)
-        assign = np.argmin(d2, axis=1)
+    for epoch in range(epochs + 1):
+        d2 = _kernels.pairwise_sqdist(data, weights, data_sq)
         trace.append(float(np.sqrt(d2.min(axis=1)).mean()))
-        kb = kmat[:, assign]  # (units, n)
+        if epoch == epochs:
+            break
+        lam = lambda_schedule(model, epoch, epochs)
+        kb = _kernel_matrix(lattice_d2, model.kernel_form, lam)[:, np.argmin(d2, axis=1)]
         denom = kb.sum(axis=1)
         numer = kb @ data
         mask = denom > 0.0
-        weights = weights.copy()
         weights[mask] = numer[mask] / denom[mask, None]
-        work = replace(work, weights=weights)
-    trace.append(quantization_error(work, data))
-    return replace(work, trained_epochs=model.trained_epochs + epochs), trace
+    return replace(model, weights=weights, trained_epochs=model.trained_epochs + epochs), trace
 
 
 def u_matrix(model: SomModel) -> np.ndarray:

@@ -1,5 +1,7 @@
 """End-to-end command-line workflow on a miniature dataset."""
 import hashlib
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -7,7 +9,8 @@ import sys
 
 import pytest
 
-from aubase import cli, signals, store
+from aubase import cli, pca, signals, store
+from aubase.errors import DegenerateDataError
 
 
 def tiny_scenario_dict(seed=11):
@@ -330,14 +333,15 @@ def test_train_rejects_unknown_config_field(workflow, tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc",
     [{"max_level": "8"}, {"epochs": 2.5}, {"grid": [3]}, {"theta": None},
-     {"labeled_decisions": 1}, {"seed": True}],
+     {"labeled_decisions": 1}, {"seed": True}, {"theta": math.inf}],
     ids=["max-level-string", "epochs-float", "grid-one-side", "theta-null",
-         "decisions-int", "seed-bool"],
+         "decisions-int", "seed-bool", "theta-inf"],
 )
 def test_train_rejects_mistyped_config_field(workflow, tmp_path, capsys, doc):
     data = workflow[2]
     cfg_path = str(tmp_path / "pipe.json")
-    store.write_json(cfg_path, doc)
+    with open(cfg_path, "w") as fh:
+        json.dump(doc, fh)
     rc = cli.main(["train", "--data", data, "--config", cfg_path, "--out", str(tmp_path / "b")])
     assert rc == 1
     assert next(iter(doc)) in capsys.readouterr().err
@@ -374,4 +378,55 @@ def test_train_rejects_negative_seed_override(workflow, tmp_path, capsys):
     rc = cli.main(["train", "--data", workflow[2], "--seed", "-1", "--out", str(out)])
     assert rc == 1
     assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SCENARIO_CASES = {
+    "repeats-string": {"n_repeats": "2"}, "repeats-float": {"n_repeats": 1.5},
+    "samples-string": {"n_samples": "100"}, "transducers-float": {"n_transducers": 2.0},
+    "echoes-int": {"echoes": 5}, "echo-one-value": {"echoes": [[1e-4]]},
+    "temperatures-string": {"temperatures_c": "20"},
+    "snr-string": {"noise_snr_db": "60"}, "damage-echo-null": {"damage_echo": None},
+    "seed-negative": {"seed": -1}, "seed-float": {"seed": 1.5}, "seed-bool": {"seed": True},
+    # Python's json reads NaN and Infinity, which are not JSON numbers
+    "carrier-nan": {"carrier_freq_hz": math.nan}, "amplitude-inf": {"amplitude": math.inf},
+    "temperature-nan": {"temperatures_c": [35.0, math.nan]},
+    # a damage record with severity <= 0 carries no damage echo
+    "severity-negative": {"damage_severities": [1.0, -1.0]},
+    "severity-zero": {"damage_severities": [0.0]},
+}
+
+
+@pytest.mark.parametrize("edit", list(SCENARIO_CASES.values()), ids=list(SCENARIO_CASES))
+def test_generate_rejects_bad_scenario_field(tmp_path, capsys, edit):
+    cfg = str(tmp_path / "s.json")
+    with open(cfg, "w") as fh:  # store.write_json refuses NaN and Infinity
+        json.dump({**tiny_scenario_dict(), **edit}, fh)
+    out = tmp_path / "d"
+    assert cli.main(["generate", "--scenario", cfg, "--out", str(out)]) == 1
+    assert next(iter(edit)) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", [["--preset", "reference"], ["--scenario"]])
+def test_generate_rejects_negative_seed_override(tmp_path, capsys, source):
+    if source == ["--scenario"]:
+        cfg = str(tmp_path / "s.json")
+        store.write_json(cfg, tiny_scenario_dict())
+        source = source + [cfg]
+    out = tmp_path / "d"
+    assert cli.main(["generate", *source, "--seed", "-1", "--out", str(out)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_refuses_step_without_modeled_cluster(workflow, tmp_path, capsys, monkeypatch):
+    # every cluster PCA fit fails: the bank could not score a novel row
+    def degenerate(*args, **kwargs):
+        raise DegenerateDataError("no variance")
+
+    monkeypatch.setattr(pca, "fit", degenerate)
+    out = tmp_path / "b"
+    assert cli.main(["train", "--data", workflow[2], "--out", str(out)]) == 1
+    assert "no cluster of the baseline map" in capsys.readouterr().err
     assert not out.exists()

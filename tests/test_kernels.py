@@ -26,10 +26,11 @@ def test_analysis_level_bitwise_equals_resize_form():
     # n < taps - 1 wraps the signal around more than once
     rng = np.random.default_rng(13)
     f = rng.normal(size=16)
-    for n in (2, 4, 6, 14, 16, 64, 1000):
+    # odd n keeps the ceil(n / 2) windows the sliding-window form gives
+    for n in (2, 3, 4, 5, 6, 14, 15, 16, 64, 999, 1000):
         x = rng.normal(size=(3, n))
         got = _kernels.analysis_level(x, f)
-        assert got.shape == (3, n // 2)
+        assert got.shape == (3, (n + 1) // 2)
         for row, want in zip(got, (resize_analysis(r, f) for r in x)):
             assert np.array_equal(row, want)
         assert np.array_equal(_kernels.analysis_level(x[1], f), resize_analysis(x[1], f))

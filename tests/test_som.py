@@ -5,13 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from aubase import ds2l, som
+from aubase import _kernels, ds2l, som
 from aubase.errors import InvalidArgumentError
 
 
 def blob_data(seed=0, n=60, dim=3):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, dim))
+
+
+def kernel(model, lam):
+    """The training kernel of a model's lattice at width lam."""
+    lattice_d2 = _kernels.pairwise_sqdist(model.unit_pos, model.unit_pos)
+    return som._kernel_matrix(lattice_d2, model.kernel_form, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +78,20 @@ def test_init_validation():
 def test_kernel_hand_values_normalized_form():
     model = som.init_som((1, 2), blob_data(4, dim=2), mode="random", seed=0)
     assert model.kernel_form == "normalized"
-    kmat = som._kernel_matrix(model, 1.0)
+    kmat = kernel(model, 1.0)
     assert abs(kmat[0, 0] - 1.0) < 1e-12
     assert abs(kmat[0, 1] - math.exp(-1.0)) < 1e-12
     # symmetric, decaying with lattice distance
     assert kmat[0, 1] == kmat[1, 0]
     # the leading 1/lambda of the normalized form
-    assert abs(som._kernel_matrix(model, 2.0)[0, 0] - 0.5) < 1e-12
+    assert abs(kernel(model, 2.0)[0, 0] - 0.5) < 1e-12
 
 
 def test_kernel_gaussian_form():
     model = som.init_som(
         (1, 2), blob_data(5, dim=2), mode="random", seed=0, kernel_form="gaussian"
     )
-    kmat = som._kernel_matrix(model, 1.0)
+    kmat = kernel(model, 1.0)
     assert abs(kmat[0, 0] - 1.0) < 1e-12
     assert abs(kmat[0, 1] - math.exp(-0.5)) < 1e-12
 
@@ -102,7 +108,7 @@ def test_lattice_distance_euclidean():
     # unit 0 is (0,0); unit 5 is (1,1) in a 4-wide row-major layout, and the
     # kernel sees their squared lattice distance
     assert np.array_equal(model.unit_pos[5], [1.0, 1.0])
-    kmat = som._kernel_matrix(model, 1.0)
+    kmat = kernel(model, 1.0)
     assert abs(kmat[0, 5] - math.exp(-2.0)) < 1e-12
     assert kmat[2, 2] == 1.0
 
@@ -194,7 +200,7 @@ def test_train_trace_matches_per_epoch_quantization_error():
     work = model
     want = [som.quantization_error(work, data)]
     for epoch in range(12):
-        kmat = som._kernel_matrix(work, som.lambda_schedule(model, epoch, 12))
+        kmat = kernel(work, som.lambda_schedule(model, epoch, 12))
         kb = kmat[:, som.bmu_indices(work, data)]
         denom = kb.sum(axis=1)
         weights = work.weights.copy()
@@ -205,10 +211,87 @@ def test_train_trace_matches_per_epoch_quantization_error():
     assert trace == want
 
 
+def per_epoch_train(model, data, epochs):
+    """The batch loop in its earlier per-epoch form: lattice distances and
+    kernel rebuilt, data norms recomputed and the model copied every epoch.
+    Returns (model, trace, whether some unit kept its previous value)."""
+
+    def kernel_matrix(m, lam):
+        d2 = _kernels.pairwise_sqdist(m.unit_pos, m.unit_pos)
+        if m.kernel_form == "normalized":
+            return np.exp(-d2 / (lam * lam)) / lam
+        return np.exp(-d2 / (2.0 * lam * lam))
+
+    weights = model.weights.copy()
+    work = dataclasses.replace(model, weights=weights)
+    trace, kept = [], False
+    for epoch in range(epochs):
+        kmat = kernel_matrix(work, som.lambda_schedule(model, epoch, epochs))
+        d2 = _kernels.pairwise_sqdist(data, weights)
+        trace.append(float(np.sqrt(d2.min(axis=1)).mean()))
+        kb = kmat[:, np.argmin(d2, axis=1)]
+        denom = kb.sum(axis=1)
+        numer = kb @ data
+        mask = denom > 0.0
+        kept = kept or not mask.all()
+        weights = weights.copy()
+        weights[mask] = numer[mask] / denom[mask, None]
+        work = dataclasses.replace(work, weights=weights)
+    trace.append(som.quantization_error(work, data))
+    trained = dataclasses.replace(work, trained_epochs=model.trained_epochs + epochs)
+    return trained, trace, kept
+
+
+TRAIN_CASES = [
+    (grid, init, form, lambda_end)
+    for grid in ((1, 6), (3, 3), (10, 10))
+    for init in ("linear", "random")
+    for form in ("normalized", "gaussian")
+    for lambda_end in (0.5, 1e-3)
+]
+
+
+@pytest.mark.parametrize("grid,init,form,lambda_end", TRAIN_CASES)
+def test_train_bitwise_equals_per_epoch_form(grid, init, form, lambda_end):
+    # duplicated rows put several data on one BMU; lambda_end 1e-3 makes the
+    # kernel mass of units far from every BMU underflow to 0
+    base = blob_data(31, n=20, dim=3)
+    data = np.vstack([base, base[:8], base[:3]])
+    model = som.init_som(
+        grid, data, mode=init, seed=5, kernel_form=form, lambda_end=lambda_end
+    )
+    before = model.weights.copy()
+    trained, trace = som.train(model, data, epochs=15)
+    want, want_trace, kept = per_epoch_train(model, data, 15)
+    assert np.array_equal(trained.weights, want.weights)
+    assert trace == want_trace
+    assert trained.trained_epochs == want.trained_epochs == 15
+    assert np.array_equal(model.weights, before)  # input model untouched
+    assert model.trained_epochs == 0
+    if lambda_end == 1e-3 and grid == (10, 10):
+        assert kept  # the masked keep-previous path ran
+
+
+def test_train_bitwise_equals_per_epoch_form_on_tied_prototypes():
+    # identical prototypes: every BMU search is an exact tie between units
+    data = np.vstack([blob_data(32, n=6, dim=2)] * 3)
+    weights = np.repeat(data[:3], 3, axis=0)
+    for form in ("normalized", "gaussian"):
+        model = som.SomModel(
+            grid=(3, 3), weights=weights, unit_pos=som._lattice_positions((3, 3)),
+            kernel_form=form, lambda_end=1e-3,
+        )
+        trained, trace = som.train(model, data, epochs=8)
+        want, want_trace, _ = per_epoch_train(model, data, 8)
+        assert np.array_equal(trained.weights, want.weights)
+        assert trace == want_trace
+        assert np.array_equal(model.weights, np.repeat(data[:3], 3, axis=0))
+
+
 def som_cost(model, data, lam):
     """Batch energy: mean over data of sum_j K(j, bmu) ||m_j - x||^2."""
     d2 = np.sum((data[:, None, :] - model.weights[None, :, :]) ** 2, axis=2)
-    kmat = som._kernel_matrix(model, lam)
+    kmat = kernel(model, lam)
     return float((kmat[:, np.argmin(d2, axis=1)].T * d2).sum() / data.shape[0])
 
 
