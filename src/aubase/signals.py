@@ -10,6 +10,13 @@ temperature. Damage adds one extra echo whose amplitude grows linearly with
 severity and is weighted by how close the damage sits to the actuator-sensor
 path. Measurement noise is white Gaussian at a configured SNR.
 
+The plate temperature, and so the echo train, belongs to the actuation
+event, not to the record: `generate_dataset` computes one echo train per
+event and copies it to each of the event's sensors, which then add their
+own damage echo and noise.  That is the arithmetic `synthesize` does for
+one record, on the same arrays and generators, so the samples are bitwise
+those of a per-record loop.
+
 Datasets round-trip through a JSON manifest (a flat array of record rows)
 plus one headerless single-column CSV of samples per record.
 """
@@ -150,6 +157,12 @@ def _validate_config(config: ScenarioConfig) -> None:
     _validate_burst(
         config.carrier_freq_hz, config.n_cycles, config.amplitude, config.sample_rate_hz
     )
+    # the noise level scales with the clean signal's RMS, so a silent echo
+    # train would give all-zero baselines
+    if config.amplitude == 0:
+        raise InvalidArgumentError("amplitude must be > 0")
+    if not any(gain != 0 for _delay, gain in config.echoes):
+        raise InvalidArgumentError("echoes must include at least one nonzero gain")
     if config.n_transducers < 2:
         raise InvalidArgumentError("need at least 2 transducers")
     if not config.temperatures_c:
@@ -206,6 +219,18 @@ def synthesize(
             )
     if actuator_id == sensor_id:
         raise InvalidArgumentError("actuator cannot sense its own step")
+    return _finish_record(
+        config,
+        _echo_train(config, temperature_c),
+        severity,
+        damage_path_weight(config, actuator_id, sensor_id),
+        _damage_burst(config),
+        rng,
+    )
+
+
+def _echo_train(config: ScenarioConfig, temperature_c: float) -> np.ndarray:
+    """Echo train at the plate temperature: arrivals stretched, gain applied."""
     t_ref = min(config.temperatures_c)
     alpha = 1.0 + config.temp_stretch_per_c * (temperature_c - t_ref)
     gain_t = 1.0 + config.temp_gain_per_c * (temperature_c - t_ref)
@@ -216,12 +241,28 @@ def synthesize(
             t - delay * alpha, config.carrier_freq_hz, config.n_cycles, config.amplitude
         )
     clean *= gain_t
+    return clean
+
+
+def _damage_burst(config: ScenarioConfig) -> np.ndarray:
+    """Unweighted damage echo; it does not stretch with temperature."""
+    t = np.arange(config.n_samples) / config.sample_rate_hz
+    return _burst_at(
+        t - config.damage_echo[0], config.carrier_freq_hz, config.n_cycles, config.amplitude
+    )
+
+
+def _finish_record(
+    config: ScenarioConfig,
+    clean: np.ndarray,
+    severity: float,
+    weight: float,
+    damage_burst: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Add the path-weighted damage echo (into `clean`, in place) and noise."""
     if severity > 0.0:
-        d_delay, d_gain = config.damage_echo
-        weight = damage_path_weight(config, actuator_id, sensor_id)
-        clean += severity * d_gain * weight * _burst_at(
-            t - d_delay, config.carrier_freq_hz, config.n_cycles, config.amplitude
-        )
+        clean += severity * config.damage_echo[1] * weight * damage_burst
     snr = config.noise_snr_db
     if snr is None or math.isinf(snr):
         return clean
@@ -255,21 +296,27 @@ def _record_id(actuator, sensor, temp, state, sev, rep) -> str:
     return f"a{actuator}-s{sensor}-T{temp:g}-{tag}-r{rep:03d}"
 
 
-def _actuation_jitter(config: ScenarioConfig, specs: list) -> dict:
-    """Temperature drift per actuation event.
+def _group_events(specs: list) -> dict:
+    """Spec indices of each actuation event, events in first-seen order.
+
+    An event is one firing, keyed by (actuator, setpoint, state, severity,
+    repeat); every other transducer records it, one spec per sensor.
+    """
+    events = {}
+    for i, (actuator, _sensor, temp, state, sev, rep) in enumerate(specs):
+        events.setdefault((actuator, temp, state, sev, rep), []).append(i)
+    return events
+
+
+def _actuation_jitter(config: ScenarioConfig, events: dict) -> dict:
+    """Temperature drift per actuation event, drawn in the events' order.
 
     The logged value is the oven setpoint; the plate temperature drifts a
     little around it.  One actuation is recorded by every sensor at once,
     so the drift is keyed by (actuator, setpoint, state, severity, repeat)
     and shared across the sensors of that event.
     """
-    keys = []
-    seen = set()
-    for actuator, _sensor, temp, state, sev, rep in specs:
-        k = (actuator, temp, state, sev, rep)
-        if k not in seen:
-            seen.add(k)
-            keys.append(k)
+    keys = list(events)
     if config.temp_jitter_c <= 0.0:
         return {k: 0.0 for k in keys}
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 104729]))
@@ -278,30 +325,48 @@ def _actuation_jitter(config: ScenarioConfig, specs: list) -> dict:
 
 
 def generate_dataset(config: ScenarioConfig) -> list:
-    """All records for the scenario; deterministic for a fixed config."""
+    """All records for the scenario; deterministic for a fixed config.
+
+    The records come out in `_iter_record_specs` order, but are built one
+    actuation event at a time: the event's echo train depends only on its
+    plate temperature (setpoint plus the event's shared drift), so it is
+    computed once and copied for each of its sensors.  Each copy then gets
+    its pair's damage echo, from one unstretched damage burst made per
+    dataset, and noise from the record's own generator (child i of the
+    scenario seed for spec i).  These are the arrays, operations and
+    generators `synthesize` uses for the record, so every sample is bitwise
+    what a per-record `synthesize` loop gives.
+    """
     _validate_config(config)
     specs = list(_iter_record_specs(config))
-    jitter = _actuation_jitter(config, specs)
+    events = _group_events(specs)
+    jitter = _actuation_jitter(config, events)
     children = np.random.SeedSequence(config.seed).spawn(len(specs))
-    records = []
-    for spec, child in zip(specs, children):
-        actuator, sensor, temp, state, sev, rep = spec
-        rng = np.random.default_rng(child)
-        t_actual = temp + jitter[(actuator, temp, state, sev, rep)]
-        samples = synthesize(config, actuator, sensor, t_actual, sev, rng)
-        records.append(
-            SignalRecord(
-                id=_record_id(actuator, sensor, temp, state, sev, rep),
-                actuator_id=actuator,
-                sensor_id=sensor,
-                temperature_c=float(temp),
-                state=state,
-                severity=sev,
-                sample_rate_hz=config.sample_rate_hz,
-                samples=samples,
+    damage_burst = _damage_burst(config)
+    tids = range(1, config.n_transducers + 1)
+    weights = {(a, s): damage_path_weight(config, a, s) for a in tids for s in tids if a != s}
+    samples = [None] * len(specs)
+    for event, indices in events.items():
+        actuator, temp, _state, sev, _rep = event
+        train = _echo_train(config, temp + jitter[event])
+        for i in indices:
+            samples[i] = _finish_record(
+                config, train.copy(), sev, weights[actuator, specs[i][1]], damage_burst,
+                np.random.default_rng(children[i]),
             )
+    return [
+        SignalRecord(
+            id=_record_id(actuator, sensor, temp, state, sev, rep),
+            actuator_id=actuator,
+            sensor_id=sensor,
+            temperature_c=float(temp),
+            state=state,
+            severity=sev,
+            sample_rate_hz=config.sample_rate_hz,
+            samples=x,
         )
-    return records
+        for (actuator, sensor, temp, state, sev, rep), x in zip(specs, samples)
+    ]
 
 
 def save_dataset(records: list, out_dir: str) -> str:

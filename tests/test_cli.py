@@ -394,6 +394,10 @@ SCENARIO_CASES = {
     # a damage record with severity <= 0 carries no damage echo
     "severity-negative": {"damage_severities": [1.0, -1.0]},
     "severity-zero": {"damage_severities": [0.0]},
+    # the noise scales with the clean RMS: a silent echo train gives all-zero baselines
+    "echoes-empty": {"echoes": []},
+    "echo-gains-zero": {"echoes": [[100e-6, 0.0], [700e-6, 0.0]]},
+    "amplitude-zero": {"amplitude": 0.0},
 }
 
 

@@ -230,7 +230,7 @@ def test_actuation_jitter_shared_across_sensors():
         echoes=[(1.0e-3, 1.0)],
     )
     specs = list(signals._iter_record_specs(cfg))
-    jitter = signals._actuation_jitter(cfg, specs)
+    jitter = signals._actuation_jitter(cfg, signals._group_events(specs))
     # keyed by actuation event: no sensor component in the key
     keys = set(jitter)
     assert all(len(k) == 5 for k in keys)
@@ -255,7 +255,7 @@ def test_actuation_jitter_shared_across_sensors():
 def test_actuation_jitter_zero_when_disabled():
     cfg = tiny_config()
     specs = list(signals._iter_record_specs(cfg))
-    jitter = signals._actuation_jitter(cfg, specs)
+    jitter = signals._actuation_jitter(cfg, signals._group_events(specs))
     assert all(v == 0.0 for v in jitter.values())
 
 
@@ -263,6 +263,52 @@ def test_metadata_keeps_nominal_setpoint():
     cfg = tiny_config(temp_jitter_c=0.4)
     records = signals.generate_dataset(cfg)
     assert {r.temperature_c for r in records} == {35.0, 45.0}
+
+
+def per_record_dataset(cfg):
+    """Reference generator: one `synthesize` call per spec, in spec order,
+    with the record's own child generator and its event's temperature drift
+    (drawn per event in first-seen order from the jitter seed)."""
+    specs = list(signals._iter_record_specs(cfg))
+    events = list(dict.fromkeys((a, t, st, sev, rep) for a, _s, t, st, sev, rep in specs))
+    drift = dict.fromkeys(events, 0.0)
+    if cfg.temp_jitter_c > 0.0:
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 104729]))
+        drift = dict(zip(events, rng.normal(0.0, cfg.temp_jitter_c, len(events)).tolist()))
+    children = np.random.SeedSequence(cfg.seed).spawn(len(specs))
+    out = []
+    for (a, s, t, st, sev, rep), child in zip(specs, children):
+        t_actual = t + drift[(a, t, st, sev, rep)]
+        x = signals.synthesize(cfg, a, s, t_actual, sev, np.random.default_rng(child))
+        out.append((signals._record_id(a, s, t, st, sev, rep), x))
+    return out
+
+
+ORACLE_CASES = {
+    "4-transducers-noisy": dict(
+        n_transducers=4, temp_jitter_c=0.4, temp_gain_per_c=0.012,
+        damage_severities=[1.0, 2.5], damage_temperatures_c=[35.0, 55.0],
+    ),
+    "2-transducers-clean": dict(
+        n_transducers=2, temp_jitter_c=0.4, temp_gain_per_c=-0.005,
+        damage_severities=[1.5], damage_temperatures_c=[45.0], noise_snr_db=None,
+    ),
+    "3-transducers-no-jitter": dict(n_transducers=3, damage_severities=[2.0]),
+}
+
+
+@pytest.mark.parametrize("kw", list(ORACLE_CASES.values()), ids=list(ORACLE_CASES))
+def test_generate_dataset_matches_per_record_synthesis(kw):
+    cfg = tiny_config(
+        temperatures_c=[35.0, 45.0, 55.0], n_repeats=3, n_samples=1024,
+        echoes=[(100e-6, 1.0), (300e-6, 0.5)], damage_echo=(200e-6, 0.6),
+        temp_stretch_per_c=5e-3, **kw,
+    )
+    got = signals.generate_dataset(cfg)
+    want = per_record_dataset(cfg)
+    assert [r.id for r in got] == [rid for rid, _ in want]
+    for rec, (_rid, x) in zip(got, want):
+        assert rec.samples.tobytes() == x.tobytes()
 
 
 # ---------------------------------------------------------------------------
