@@ -10,14 +10,17 @@ scaling, its own PCA model at the configured variance share, a quantization
 error gate (q95 of its members), and an SPE alarm threshold (95th percentile
 of its members' SPE).
 
-Phase 2 (detection) picks, for each incoming experiment and step, the
-cluster whose prototype matches best. A quantization error above the gate
-means no trained baseline explains the data: the experiment is flagged
-novel, which short-circuits to damage. Otherwise the SPE against the
-selected cluster's model is collected into a vector (one entry per step);
-the log-scaled vectors of the batch plus the held-out validation baselines
-feed a second-level SOM whose clusters separate pristine data from damage
-classes.
+Phase 2 (detection) scores every experiment and step through one path,
+the same one that scores the held-out validation baselines during training.
+The best-matching unit of the step's map picks the baseline cluster. The
+experiment is novel, which short-circuits to damage, when that unit lies in
+no cluster, the cluster has no PCA model, or the quantization error exceeds
+the cluster's q95 gate. The SPE is scored against the selected cluster's
+model (for a novel row, the nearest modeled mode's) and normalized by that
+cluster's alarm threshold; one entry per step makes the experiment's SPE
+vector. The log-scaled vectors of the batch plus the held-out validation
+baselines feed a second-level SOM whose clusters separate pristine data
+from damage classes.
 
 The validation fraction never touches any model parameter or threshold; it
 only provides reference SPE vectors and calibration statistics.
@@ -210,6 +213,11 @@ def _quantile(values: np.ndarray) -> float:
 
 def train_phase1(records, config: PipelineConfig | None = None) -> BaselineBank:
     """Build the per-step baseline bank from baseline records."""
+    return _fit_bank(records, config)[0]
+
+
+def _fit_bank(records, config: PipelineConfig | None):
+    """(bank, {step: unfolded features of every baseline experiment})."""
     config = config or PipelineConfig()
     records = list(records)
     if not records:
@@ -242,21 +250,16 @@ def train_phase1(records, config: PipelineConfig | None = None) -> BaselineBank:
     by_id = {r.id: r for r in records}
 
     steps = {}
-    val_rows = {}
+    fm_by_step = {}
     for si, s in enumerate(step_ids):
         layout = layouts[s]
-        train_slots = [layout.experiments[i] for i in train_idx]
-        train_rec_ids = [rid for slot in train_slots for rid in slot.record_ids.values()]
-        if config.level is not None:
-            level = config.level
-        else:
-            level = _modal_level([by_id[rid] for rid in train_rec_ids], config)
+        train_recs = [by_id[rid] for i in train_idx
+                      for rid in layout.experiments[i].record_ids.values()]
+        level = config.level if config.level is not None else _modal_level(train_recs, config)
         features = _features_for([by_id[rid] for slot in layout.experiments
                                   for rid in slot.record_ids.values()], level)
-        fm_all = unfold(features, layout)
+        fm_all = fm_by_step[s] = unfold(features, layout)
         fm_train = fm_all.subset(train_idx)
-        val_rows[s] = fm_all.subset(val_idx)
-
         grid = config.grid or som.default_grid(fm_train.n)
         model = som.init_som(
             grid,
@@ -323,41 +326,13 @@ def train_phase1(records, config: PipelineConfig | None = None) -> BaselineBank:
         val_keys=[ref_keys[i] for i in val_idx],
         validation=[],
     )
-    _attach_validation(bank, val_rows)
-    return bank
-
-
-def _attach_validation(bank: BaselineBank, rows_by_step: dict) -> None:
-    """Score the held-out baselines (each step's unfolded validation rows)
-    and stash their SPE vectors in the bank."""
-    exceed = {s: 0 for s in bank.step_ids}
-    vectors = []
-    for pos, key in enumerate(bank.val_keys):
-        slot = rows_by_step[bank.step_ids[0]].meta[pos]
-        spe_vals, novelty, normalized = [], [], []
-        for s in bank.step_ids:
-            row = rows_by_step[s].values[pos]
-            sel = select_baseline(bank, s, row)
-            _, spe_val, norm = _spe_against_bank(bank.steps[s], row, sel)
-            spe_vals.append(spe_val)
-            novelty.append(sel.novel)
-            normalized.append(norm)
-            if norm > 1.0:
-                exceed[s] += 1
-        vectors.append(
-            SpeVector(
-                key=key,
-                temperature_c=slot.temperature_c,
-                state="baseline",
-                severity=0.0,
-                spe=spe_vals,
-                novelty=novelty,
-                normalized=normalized,
-            )
-        )
-    for s in bank.step_ids:
-        bank.steps[s].validation_exceedance = exceed[s] / len(bank.val_keys)
-    bank.validation = vectors
+    val_slots = [fm_by_step[step_ids[0]].meta[i] for i in val_idx]
+    val_rows = {s: fm_by_step[s].values[val_idx] for s in step_ids}
+    bank.validation = [vec for _, vec in _score_experiments(bank, val_slots, val_rows)]
+    for i, s in enumerate(step_ids):
+        exceed = sum(vec.normalized[i] > 1.0 for vec in bank.validation)
+        steps[s].validation_exceedance = exceed / len(bank.validation)
+    return bank, fm_by_step
 
 
 def select_baseline(bank: BaselineBank, step: int, feature_row) -> SelectionResult:
@@ -368,56 +343,75 @@ def select_baseline(bank: BaselineBank, step: int, feature_row) -> SelectionResu
     """
     if step not in bank.steps:
         raise InvalidArgumentError(f"bank has no actuation step {step}")
-    sm = bank.steps[step]
+    return _score_row(bank.steps[step], feature_row)[0]
+
+
+def _score_row(sm: StepModel, feature_row):
+    """(selection, scored cluster, SPE, SPE / that cluster's alarm threshold).
+
+    Every row the pipeline scores goes through here. A novel row is still
+    scored: against its BMU's cluster when that one is modeled, else against
+    the modeled cluster with the nearest mode prototype. Rows are scored one
+    at a time on purpose: the batched BMU distance, q.e. and SPE forms round
+    differently in the last bits, which would move bank and report bytes.
+    """
     row = np.asarray(feature_row, dtype=float).ravel()
     if row.shape[0] != sm.feature_width:
         raise InvalidArgumentError(
-            f"feature row has {row.shape[0]} columns, step {step} expects {sm.feature_width}"
+            f"feature row has {row.shape[0]} columns, step {sm.actuator_id} "
+            f"expects {sm.feature_width}"
         )
     unit = som.bmu(sm.map, row)
     qe = float(np.linalg.norm(row - sm.map.weights[unit]))
     cid = int(sm.partition.unit_label[unit])
-    if cid < 0:
-        return SelectionResult(novel=True, cluster=None, bmu=unit, qe=qe)
-    cm = sm.clusters[cid]
-    if cm.model is None or qe > cm.q95:
-        return SelectionResult(novel=True, cluster=None, bmu=unit, qe=qe)
-    return SelectionResult(novel=False, cluster=cid, bmu=unit, qe=qe)
-
-
-def _fallback_cluster(sm: StepModel, row: np.ndarray, unit: int) -> int:
-    """Cluster used for SPE when selection is novel: the BMU's cluster when
-    modeled, else the modeled cluster with the nearest mode prototype."""
-    cid = int(sm.partition.unit_label[unit])
-    if cid >= 0 and sm.clusters[cid].model is not None:
-        return cid
-    best = None
-    best_d = np.inf
-    for k in sorted(sm.clusters):
-        if sm.clusters[k].model is None:
-            continue
-        mode_w = sm.map.weights[sm.partition.modes[k]]
-        d = float(np.linalg.norm(row - mode_w))
-        if d < best_d:
-            best, best_d = k, d
-    if best is None:
-        raise DegenerateDataError(
-            f"step {sm.actuator_id} has no cluster with a usable model"
-        )
-    return best
-
-
-def _spe_against_bank(sm: StepModel, row: np.ndarray, sel: SelectionResult):
-    """(cluster used, SPE, SPE normalized by that cluster's alarm threshold)."""
-    cid = sel.cluster if not sel.novel else _fallback_cluster(sm, row, sel.bmu)
+    modeled = cid >= 0 and sm.clusters[cid].model is not None
+    novel = not modeled or qe > sm.clusters[cid].q95
+    sel = SelectionResult(novel=novel, cluster=None if novel else cid, bmu=unit, qe=qe)
+    if not modeled:
+        candidates = [k for k in sorted(sm.clusters) if sm.clusters[k].model is not None]
+        if not candidates:
+            raise DegenerateDataError(
+                f"step {sm.actuator_id} has no cluster with a usable PCA model"
+            )
+        # the first of equally near modes wins
+        cid = min(candidates, key=lambda k: float(
+            np.linalg.norm(row - sm.map.weights[sm.partition.modes[k]])))
     cm = sm.clusters[cid]
     spe_val = float(pca.spe(cm.model, row))
-    thr = cm.spe_threshold
-    if thr is None or thr <= 0.0:
+    if cm.spe_threshold is None or cm.spe_threshold <= 0.0:
         norm = math.inf if spe_val > 0.0 else 0.0
     else:
-        norm = spe_val / thr
-    return cid, spe_val, norm
+        norm = spe_val / cm.spe_threshold
+    return sel, cid, spe_val, norm
+
+
+def _score_experiments(bank: BaselineBank, slots, rows: dict) -> list:
+    """[(per-step cells, SpeVector)] for each experiment slot, where rows
+    maps each bank step to the unfolded rows aligned with slots."""
+    scored = []
+    for i, slot in enumerate(slots):
+        cells, novelty = {}, []
+        for s in bank.step_ids:
+            sel, cid, spe_val, norm = _score_row(bank.steps[s], rows[s][i])
+            novelty.append(sel.novel)
+            cells[s] = {
+                "selected": "novel" if sel.novel else sel.cluster,
+                "scored_cluster": cid,
+                "qe": sel.qe,
+                "spe": spe_val,
+                "normalized": norm,
+            }
+        vec = SpeVector(
+            key=slot.key,
+            temperature_c=slot.temperature_c,
+            state=slot.state,
+            severity=slot.severity,
+            spe=[c["spe"] for c in cells.values()],
+            novelty=novelty,
+            normalized=[c["normalized"] for c in cells.values()],
+        )
+        scored.append((cells, vec))
+    return scored
 
 
 @dataclass
@@ -443,7 +437,8 @@ class DetectionReport:
 
 
 def _experiment_rows(bank: BaselineBank, records):
-    """Per-step unfolded rows for the given records, joined by experiment key."""
+    """(slots of the experiments that cover every bank step, in layout order;
+    each step's unfolded rows aligned with them; keys missing some step)."""
     layouts = build_step_layouts(records)
     missing = [s for s in bank.step_ids if s not in layouts]
     if missing:
@@ -452,7 +447,6 @@ def _experiment_rows(bank: BaselineBank, records):
     if extra:
         raise LayoutError(f"records contain steps {extra} the bank was not trained on")
     rows = {}
-    slots = {}
     for s in bank.step_ids:
         step = bank.steps[s]
         layout = layouts[s]
@@ -466,21 +460,20 @@ def _experiment_rows(bank: BaselineBank, records):
         )
         fm = unfold(features, layout)
         rows[s] = {slot.key: fm.values[i] for i, slot in enumerate(fm.meta)}
-        slots[s] = {slot.key: slot for slot in fm.meta}
-    ordered_keys = [slot.key for slot in layouts[bank.step_ids[0]].experiments]
     complete, incomplete = [], []
-    for key in ordered_keys:
-        if all(key in rows[s] for s in bank.step_ids):
-            complete.append(key)
+    for slot in layouts[bank.step_ids[0]].experiments:
+        if all(slot.key in rows[s] for s in bank.step_ids):
+            complete.append(slot)
         else:
-            incomplete.append(key)
-    known = set(ordered_keys)
+            incomplete.append(slot.key)
+    known = set(rows[bank.step_ids[0]])
     for s in bank.step_ids[1:]:
         for key in rows[s]:
             if key not in known:
                 incomplete.append(key)
                 known.add(key)
-    return rows, slots, complete, incomplete
+    aligned = {s: [rows[s][slot.key] for slot in complete] for s in bank.step_ids}
+    return complete, aligned, incomplete
 
 
 def detect(bank: BaselineBank, records, config: PipelineConfig | None = None) -> DetectionReport:
@@ -495,53 +488,23 @@ def detect(bank: BaselineBank, records, config: PipelineConfig | None = None) ->
     records = list(records)
     if not records:
         raise InvalidArgumentError("no records to detect on")
-    rows, slots, complete, incomplete = _experiment_rows(bank, records)
-    if not complete:
+    slots, rows, incomplete = _experiment_rows(bank, records)
+    if not slots:
         raise LayoutError("no experiment covers every bank step")
 
-    results = []
-    for key in complete:
-        slot = slots[bank.step_ids[0]][key]
-        per_step = {}
-        spe_vals, novelty, normalized = [], [], []
-        for s in bank.step_ids:
-            row = rows[s][key]
-            sel = select_baseline(bank, s, row)
-            cid, spe_val, norm = _spe_against_bank(bank.steps[s], row, sel)
-            per_step[s] = {
-                "selected": "novel" if sel.novel else sel.cluster,
-                "scored_cluster": cid,
-                "qe": sel.qe,
-                "spe": spe_val,
-                "normalized": norm,
-            }
-            spe_vals.append(spe_val)
-            novelty.append(sel.novel)
-            normalized.append(norm)
-        any_novel = any(novelty)
-        score = math.inf if any_novel else max(normalized)
-        vec = SpeVector(
-            key=key,
-            temperature_c=slot.temperature_c,
-            state=slot.state,
-            severity=slot.severity,
-            spe=spe_vals,
-            novelty=novelty,
-            normalized=normalized,
+    results = [
+        ExperimentResult(
+            key=vec.key,
+            temperature_c=vec.temperature_c,
+            state=vec.state,
+            severity=vec.severity,
+            per_step=cells,
+            novelty=any(vec.novelty),
+            spe_vector=vec,
+            score=math.inf if any(vec.novelty) else max(vec.normalized),
         )
-        results.append(
-            ExperimentResult(
-                key=key,
-                temperature_c=slot.temperature_c,
-                state=slot.state,
-                severity=slot.severity,
-                per_step=per_step,
-                novelty=any_novel,
-                spe_vector=vec,
-                score=score,
-            )
-        )
-
+        for cells, vec in _score_experiments(bank, slots, rows)
+    ]
     _second_level(bank, results, config)
     metadata = {
         "config": config.to_dict(),
@@ -670,31 +633,21 @@ def compare_monolithic(records, config: PipelineConfig | None = None) -> Compari
         raise InvalidArgumentError(
             "comparison needs both baseline and damage records"
         )
-    bank = train_phase1(baselines, config)
-    base_layouts = build_step_layouts(baselines)
+    bank, fm_by_step = _fit_bank(baselines, config)
     dmg_layouts = build_step_layouts(damages)
     missing = [s for s in bank.step_ids if s not in dmg_layouts]
     if missing:
         raise LayoutError(f"damage records do not cover steps {missing}")
-    by_id = {r.id: r for r in baselines}
 
-    key_order = {k: i for i, k in enumerate(
-        slot.key for slot in base_layouts[bank.step_ids[0]].experiments
-    )}
+    key_order = {slot.key: i for i, slot in enumerate(fm_by_step[bank.step_ids[0]].meta)}
     train_idx = [key_order[k] for k in bank.train_keys]
     val_idx = [key_order[k] for k in bank.val_keys]
 
     steps = []
     for s in bank.step_ids:
         sm = bank.steps[s]
-        layout = base_layouts[s]
-        features = _features_for(
-            [by_id[rid] for slot in layout.experiments for rid in slot.record_ids.values()],
-            sm.level,
-        )
-        fm_all = unfold(features, layout)
-        fm_train = fm_all.subset(train_idx)
-        fm_val = fm_all.subset(val_idx)
+        fm_train = fm_by_step[s].subset(train_idx)
+        fm_val = fm_by_step[s].subset(val_idx)
 
         mono = pca.fit(fm_train, variance_threshold=config.variance_threshold)
         mono_thr = _quantile(pca.spe(mono, fm_train.values))
@@ -708,8 +661,7 @@ def compare_monolithic(records, config: PipelineConfig | None = None) -> Compari
         prop_scores, mono_scores, labels = [], [], []
         for values, label in ((fm_val.values, 0), (fm_dmg.values, 1)):
             for row in values:
-                sel = select_baseline(bank, s, row)
-                _, _, norm = _spe_against_bank(sm, row, sel)
+                sel, _, _, norm = _score_row(sm, row)
                 prop_scores.append(math.inf if sel.novel else norm)
                 mono_scores.append(float(pca.spe(mono, row)))
                 labels.append(label)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from aubase import cli, pca, signals, store
+from aubase import cli, pca, pipeline, signals, store
 from aubase.errors import DegenerateDataError
 
 
@@ -433,4 +433,25 @@ def test_train_refuses_step_without_modeled_cluster(workflow, tmp_path, capsys, 
     out = tmp_path / "b"
     assert cli.main(["train", "--data", workflow[2], "--out", str(out)]) == 1
     assert "no cluster of the baseline map" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_detect_refuses_step_without_modeled_cluster(workflow, tmp_path, capsys):
+    # a bank edited so that one step has no PCA model left has nothing to
+    # score a row of that step against
+    data, bank_dir = workflow[2], workflow[3]
+    bank = store.load_bank(bank_dir)
+    step = bank.step_ids[-1]
+    for cm in bank.steps[step].clusters.values():
+        cm.model = None
+    edited = tmp_path / "bank"
+    edited.mkdir()
+    store.save_bank(bank, str(edited))
+    with pytest.raises(DegenerateDataError, match=rf"step {step} has no cluster"):
+        pipeline.detect(store.load_bank(str(edited)), signals.load_dataset(
+            os.path.join(data, "manifest.json")))
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert cli.main(["detect", "--bank", str(edited), "--data", data, "--out", str(out)]) == 1
+    assert f"step {step} has no cluster" in capsys.readouterr().err
     assert not out.exists()

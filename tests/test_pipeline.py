@@ -316,6 +316,79 @@ def test_detect_result_consistency(detect_report, small_bank):
                 assert cell["qe"] <= sm.clusters[cell["selected"]].q95 + 1e-12
 
 
+def experiment_records(records, keys):
+    """The records of the experiments with the given keys."""
+    keys = set(keys)
+    ids = {rid for layout in fusion.build_step_layouts(records).values()
+           for slot in layout.experiments if slot.key in keys
+           for rid in slot.record_ids.values()}
+    return [r for r in records if r.id in ids]
+
+
+def test_detect_on_held_out_baselines_reproduces_validation(small_bank, small_records):
+    # one scoring path: detect scores the held-out experiments exactly as
+    # training scored them into the bank's validation references
+    held_out = experiment_records(small_records, small_bank.val_keys)
+    report = pipeline.detect(small_bank, held_out)
+    assert len(report.results) == len(small_bank.validation)
+    for res, ref in zip(report.results, small_bank.validation):
+        vec = res.spe_vector
+        assert vec.temperature_c == ref.temperature_c
+        assert np.array(vec.spe).tobytes() == np.array(ref.spe).tobytes()
+        assert vec.novelty == ref.novelty
+        assert np.array(vec.normalized).tobytes() == np.array(ref.normalized).tobytes()
+    cells = {res.key: res.per_step for res in report.results}
+    for s in small_bank.step_ids:
+        rows, _ = step_rows(small_bank, held_out, s)
+        assert sorted(rows) == sorted(cells)
+        for key, row in rows.items():
+            sel = pipeline.select_baseline(small_bank, s, row)
+            assert cells[key][s]["selected"] == ("novel" if sel.novel else sel.cluster)
+            assert cells[key][s]["qe"] == sel.qe
+
+
+def test_threshold_rule_below_four_spe_vectors(small_bank, small_records, damage_records):
+    # with fewer than 4 SPE vectors, validation references included, no
+    # second map is fit and the first-level scores decide
+    rows = {s: step_rows(small_bank, small_records, s)[0] for s in small_bank.step_ids}
+    calm_key = next(
+        key for key in small_bank.train_keys
+        if not any(pipeline.select_baseline(small_bank, s, rows[s][key]).novel
+                   for s in small_bank.step_ids)
+    )
+    calm = experiment_records(small_records, [calm_key])
+    damaged = [r for r in damage_records
+               if r.state == "damage" and r.severity == 1.0 and r.id.endswith("r000")]
+
+    def decisions(bank, records):
+        report = pipeline.detect(bank, records)
+        assert len(bank.validation) + len(report.results) < 4
+        for res in report.results:
+            assert res.second_cluster is None
+            if res.novelty:
+                assert res.decision == "novel/damage"
+            elif res.score > 1.0:
+                assert res.decision == "damage-suspect"
+            else:
+                assert res.decision == "baseline-like"
+        return {res.state: res.decision for res in report.results}
+
+    one_ref = dataclasses.replace(small_bank, validation=small_bank.validation[:1])
+    two_refs = dataclasses.replace(small_bank, validation=small_bank.validation[:2])
+    # thresholds below the calm experiment's SPE push it over 1 without
+    # touching its selection
+    tight = copy.deepcopy(one_ref)
+    calm_spe = pipeline.detect(one_ref, calm).results[0].spe_vector.spe
+    for sm in tight.steps.values():
+        for cm in sm.clusters.values():
+            if cm.model is not None:
+                cm.spe_threshold = min(calm_spe) / 2.0
+    assert decisions(two_refs, calm) == {"baseline": "baseline-like"}
+    assert decisions(tight, calm) == {"baseline": "damage-suspect"}
+    assert decisions(one_ref, calm + damaged) == {
+        "baseline": "baseline-like", "damage": "novel/damage"}
+
+
 def test_detect_novelty_gate_recheckable(small_bank, damage_records):
     # recompute selection per step from raw rows and compare with the gate
     for s in small_bank.step_ids:
@@ -373,6 +446,19 @@ def test_detection_report_serializes(detect_report):
 @pytest.fixture(scope="module")
 def small_comparison(damage_records):
     return pipeline.compare_monolithic(damage_records, pipeline.PipelineConfig(seed=0))
+
+
+def test_compare_extracts_each_record_once(damage_records, monkeypatch):
+    rows = []
+    extract = wavelet.extract_features
+
+    def counted(x, level, *args, **kwargs):
+        rows.append(np.atleast_2d(x).shape[0])
+        return extract(x, level, *args, **kwargs)
+
+    monkeypatch.setattr(wavelet, "extract_features", counted)
+    pipeline.compare_monolithic(damage_records, pipeline.PipelineConfig(seed=0))
+    assert sum(rows) == len(damage_records)
 
 
 def test_compare_report_structure(small_comparison, damage_records):
