@@ -46,7 +46,7 @@ from .signals import (
     reference_scenario,
     save_dataset,
 )
-from .som import SomModel, init_som, quantization_error, train, u_matrix
+from .som import SomModel, init_som, train, u_matrix
 from .store import load_bank, save_bank
 from .wavelet import db8, dwt, extract_features, idwt, select_level, shannon_entropy
 
@@ -90,7 +90,6 @@ __all__ = [
     "init_som",
     "load_bank",
     "load_dataset",
-    "quantization_error",
     "reference_scenario",
     "roc",
     "save_bank",

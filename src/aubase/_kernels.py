@@ -1,8 +1,9 @@
 """Numerical hot loops, vectorized in numpy.
 
-One DWT analysis level with a single filter, the synthesis step that
-inverts a level, and the pairwise squared distances behind every BMU search
-and density estimate. All kernels are deterministic: the same inputs give
+One DWT analysis level with a single filter, the level-L approximation in
+one pass through the composite filter, the synthesis step that inverts a
+level, and the pairwise squared distances behind every BMU search and
+density estimate. All kernels are deterministic: the same inputs give
 the same bits on every call.
 """
 
@@ -33,6 +34,45 @@ def analysis_level(x: np.ndarray, f: np.ndarray) -> np.ndarray:
         writeable=False,
     )
     return win @ f
+
+
+def composite_filter(h: np.ndarray, level: int) -> np.ndarray:
+    """The filter that takes a signal to its level-`level` approximation in
+    one correlation with stride 2^level: c_1 = h, and c_(l+1) is h convolved
+    with c_l upsampled by 2 (the noble identity). A 16-tap h gives
+    15 * 2^level - 14 taps.
+    """
+    c = h
+    for _ in range(level - 1):
+        up = np.zeros(2 * c.shape[0] - 1)
+        up[::2] = c
+        c = np.convolve(up, h)
+    return c
+
+
+def decimated_correlation(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """sum_j c[j] x[(s k + j) mod n] for k < n / s, along the last axis of a
+    (..., n) array whose length n is a multiple of s.
+
+    phases is the polyphase form of the filter c, shape (s, P):
+    phases[r, p] = c[p s + r], zero past the last tap. Each row, extended
+    periodically by s (P - 1) samples and reshaped to (n / s + P - 1, s),
+    is multiplied by phases in one matrix product; output k is the sum of
+    the P products on the diagonal starting at row k, added in the order
+    p = 0 .. P - 1. A block is a stack of same-shape products, one per row,
+    so a row gives the same bits alone or in a block.
+    """
+    s, taps = phases.shape
+    n = x.shape[-1]
+    m = n // s
+    # the wrapped head is x tiled cyclically, which also covers n < s (P - 1)
+    head = np.take(x, np.arange(s * (taps - 1)) % n, axis=-1)
+    xp = np.concatenate([x, head], axis=-1).reshape(x.shape[:-1] + (m + taps - 1, s))
+    y = xp @ phases
+    out = y[..., :m, 0].copy()
+    for p in range(1, taps):
+        out += y[..., p:p + m, p]
+    return out
 
 
 def idwt_level(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray):

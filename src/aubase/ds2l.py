@@ -162,15 +162,6 @@ def _passes(border: float, peak_a: float, peak_b: float, theta: float) -> bool:
     return bool(border >= 2.0 / (1.0 / peak_a + 1.0 / peak_b) * theta)
 
 
-def merge_check(e: EnrichedSom, cluster_a, cluster_b, theta: float, adj: dict) -> bool:
-    """Merge rule for two clusters that share at least one graph border."""
-    groups = [[int(u) for u in cluster_a], [int(u) for u in cluster_b]]
-    peaks, border = _borders(e, groups, adj)
-    if (0, 1) not in border:
-        raise InvalidArgumentError("clusters are not adjacent; no shared border")
-    return _passes(border[0, 1], peaks[0], peaks[1], theta)
-
-
 def _merge_fixpoint(e: EnrichedSom, groups: list, theta: float, adj: dict) -> list:
     """Merge adjacent sub-clusters until no pair passes the merge rule.
 

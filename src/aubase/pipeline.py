@@ -47,9 +47,11 @@ from .errors import (
 from .fusion import FeatureMatrix, build_step_layouts, unfold
 
 QUANTILE = 0.95
-# Records per feature block. Stacking amortizes the per-level call overhead
-# over the rows; 4 rows gets most of the gain, and larger blocks raise the
-# peak memory of a detect call without saving more time.
+# Records per block for level selection and features. Stacking amortizes
+# the per-call overhead over the rows: the level-8 features of the 2,160
+# reference baselines take 0.20 s one record at a time, 0.12 s in blocks of
+# 4 and 0.13 s in blocks of 16 or 64 (one BLAS thread), so larger blocks
+# only raise the peak memory of a detect call.
 BLOCK_ROWS = 4
 
 

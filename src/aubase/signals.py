@@ -48,6 +48,14 @@ MANIFEST_KEYS = (
 _DAMAGE_POS = (0.35, 0.60)
 _PATH_WEIGHT_SCALE = 0.25
 
+# Largest scenario accepted, in bytes of float64 samples. generate_dataset
+# holds every record in memory at once, and training and detection hold them
+# again as the CLI loads them. The built-in reference-damage scenario, the
+# largest the package ships (3,888 records of 16,384 samples), is 509 MB;
+# 2 GiB leaves four times that, and refuses a scenario that would ask numpy
+# for more memory than a workstation has before any array is made.
+MAX_SCENARIO_BYTES = 2**31
+
 
 @dataclass
 class ScenarioConfig:
@@ -88,20 +96,6 @@ class SignalRecord:
     sample_rate_hz: float
     samples: np.ndarray
     path: str | None = None
-
-
-def make_toneburst(
-    carrier_freq_hz: float,
-    n_cycles: int,
-    amplitude: float,
-    sample_rate_hz: float,
-) -> np.ndarray:
-    """Hanning-windowed cosine burst sampled on [0, n_cycles/carrier)."""
-    _validate_burst(carrier_freq_hz, n_cycles, amplitude, sample_rate_hz)
-    duration = n_cycles / carrier_freq_hz
-    n = int(round(duration * sample_rate_hz))
-    t = np.arange(n) / sample_rate_hz
-    return _burst_at(t, carrier_freq_hz, n_cycles, amplitude)
 
 
 def _validate_burst(carrier, cycles, amplitude, rate):
@@ -176,6 +170,12 @@ def _validate_config(config: ScenarioConfig) -> None:
         raise InvalidArgumentError("damage_severities must all be > 0")
     if config.n_samples < 2:
         raise InvalidArgumentError("n_samples must be >= 2")
+    nbytes = _record_count(config) * config.n_samples * 8
+    if nbytes > MAX_SCENARIO_BYTES:
+        raise InvalidArgumentError(
+            f"scenario holds {nbytes / 2**30:.3g} GiB of samples (records x n_samples"
+            f" x 8 bytes), above the {MAX_SCENARIO_BYTES / 2**30:g} GiB limit"
+        )
     duration = config.n_samples / config.sample_rate_hz
     t_ref = min(config.temperatures_c)
     alpha_max = max(
@@ -200,6 +200,20 @@ def _validate_config(config: ScenarioConfig) -> None:
             raise InvalidArgumentError(
                 f"damage temperatures {sorted(extra)} not in the scenario grid"
             )
+
+
+def _record_count(config: ScenarioConfig) -> int:
+    """Number of records `_iter_record_specs` yields, without making them."""
+    damage_temps = (
+        config.temperatures_c
+        if config.damage_temperatures_c is None
+        else config.damage_temperatures_c
+    )
+    states = sum(
+        1 + (len(config.damage_severities) if t in damage_temps else 0)
+        for t in config.temperatures_c
+    )
+    return config.n_transducers * (config.n_transducers - 1) * states * config.n_repeats
 
 
 def synthesize(

@@ -148,13 +148,6 @@ def bmu(model: SomModel, x: np.ndarray) -> int:
     return int(bmu_indices(model, x)[0])
 
 
-def quantization_error(model: SomModel, data: np.ndarray) -> float:
-    """Mean Euclidean distance from each datum to its BMU prototype."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    d2 = _kernels.pairwise_sqdist(data, model.weights)
-    return float(np.sqrt(d2.min(axis=1)).mean())
-
-
 def lambda_schedule(model: SomModel, epoch: int, epochs: int) -> float:
     ratio = model.lambda_end / model.lambda_start
     return float(model.lambda_start * ratio ** (epoch / epochs))

@@ -412,6 +412,22 @@ def test_generate_rejects_bad_scenario_field(tmp_path, capsys, edit):
     assert not out.exists()
 
 
+def test_generate_refuses_oversized_scenario_before_allocating(tmp_path, capsys, monkeypatch):
+    # 2**40 samples a record is 8 TiB each: the scenario check refuses it, and
+    # nothing that makes sample arrays is reached
+    def unreachable(config):
+        raise AssertionError("generate_dataset reached for a refused scenario")
+
+    monkeypatch.setattr(signals, "generate_dataset", unreachable)
+    cfg = str(tmp_path / "s.json")
+    store.write_json(cfg, {**tiny_scenario_dict(), "n_samples": 2**40})
+    out = tmp_path / "d"
+    assert cli.main(["generate", "--scenario", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "n_samples" in err and "GiB limit" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("source", [["--preset", "reference"], ["--scenario"]])
 def test_generate_rejects_negative_seed_override(tmp_path, capsys, source):
     if source == ["--scenario"]:

@@ -202,15 +202,21 @@ def test_watershed_each_group_contains_its_seed_mode():
 # ---------------------------------------------------------------------------
 
 
+def merge_check(e, cluster_a, cluster_b, theta, adj) -> bool:
+    """The fixpoint's merge rule for two clusters sharing a graph border."""
+    peaks, border = ds2l._borders(e, [list(cluster_a), list(cluster_b)], adj)
+    return ds2l._passes(border[0, 1], peaks[0], peaks[1], theta)
+
+
 def test_merge_plateau_passes_near_one():
     e = enriched_chain([2.0, 2.0, 2.0, 2.0, 2.0])
-    assert ds2l.merge_check(e, [0, 1], [2, 3, 4], 0.99, adj_of(e))
+    assert merge_check(e, [0, 1], [2, 3, 4], 0.99, adj_of(e))
 
 
 def test_merge_deep_valley_rejected():
     e = enriched_chain([5.0, 0.001, 5.0])
-    assert not ds2l.merge_check(e, [0, 1], [2], 0.35, adj_of(e))
-    assert ds2l.merge_check(e, [0, 1], [2], 0.0, adj_of(e))
+    assert not merge_check(e, [0, 1], [2], 0.35, adj_of(e))
+    assert merge_check(e, [0, 1], [2], 0.0, adj_of(e))
 
 
 def test_merge_hand_threshold():
@@ -218,15 +224,15 @@ def test_merge_hand_threshold():
     a, b = [0, 1], [2, 3, 4]
     # border = min(D1, D2) = 1; harmonic mean of peaks 5 and 5.5 = 5.2381
     harm = 2.0 / (1.0 / 5.0 + 1.0 / 5.5)
-    assert not ds2l.merge_check(e, a, b, 0.35, adj_of(e))
-    assert ds2l.merge_check(e, a, b, 0.9 / harm, adj_of(e))
-    assert not ds2l.merge_check(e, a, b, 1.1 / harm, adj_of(e))
+    assert not merge_check(e, a, b, 0.35, adj_of(e))
+    assert merge_check(e, a, b, 0.9 / harm, adj_of(e))
+    assert not merge_check(e, a, b, 1.1 / harm, adj_of(e))
 
 
 def test_merge_requires_shared_border():
     e = enriched_chain([1.0, 0.0, 0.0, 1.0, 0.0], occupied=[0, 3])
-    with pytest.raises(InvalidArgumentError):
-        ds2l.merge_check(e, [0], [3], 0.35, adj_of(e))
+    _, border = ds2l._borders(e, [[0], [3]], adj_of(e))
+    assert (0, 1) not in border
 
 
 def test_merge_fixpoint_order_independent():

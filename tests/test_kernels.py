@@ -1,7 +1,7 @@
 """The low-level numeric kernels against plain-loop references."""
 import numpy as np
 
-from aubase import _kernels
+from aubase import _kernels, wavelet
 
 
 def per_tap_idwt(a, d, h, g):
@@ -59,3 +59,31 @@ def test_pairwise_sqdist_matches_bruteforce():
         for j in (0, 24):
             want = float(np.sum((x[i] - w[j]) ** 2))
             assert abs(d2[i, j] - want) < 1e-9
+
+
+def test_composite_filter_identities():
+    # the level-L composite of an orthonormal scaling filter keeps unit
+    # energy and sums to 2^(L/2): the DC gain of L stages of sqrt(2)
+    h = wavelet.DB8_H
+    for level in range(1, 9):
+        c = _kernels.composite_filter(h, level)
+        assert c.shape == (15 * 2**level - 14,)
+        assert abs(c.sum() - 2.0 ** (level / 2)) < 1e-12
+        assert abs(np.linalg.norm(c) - 1.0) < 1e-12
+
+
+def test_decimated_correlation_matches_modular_loop():
+    # stride s, filters shorter and longer than the rows, heads that wrap
+    rng = np.random.default_rng(17)
+    for s, taps, n in ((2, 16, 8), (4, 46, 12), (8, 13, 64), (16, 100, 32)):
+        c = rng.normal(size=taps)
+        p = -(-taps // s)
+        phases = np.zeros(p * s)
+        phases[:taps] = c
+        phases = phases.reshape(p, s).T.copy()
+        x = rng.normal(size=(3, n))
+        got = _kernels.decimated_correlation(x, phases)
+        idx = (s * np.arange(n // s)[:, None] + np.arange(taps)[None, :]) % n
+        want = x[:, idx] @ c
+        assert got.shape == (3, n // s)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())

@@ -293,9 +293,25 @@ def test_detect_covers_every_experiment_once(detect_report, damage_records):
     assert detect_report.incomplete == []
 
 
-def test_detect_result_consistency(detect_report, small_bank):
-    steps = detect_report.step_ids
-    for res in detect_report.results:
+@pytest.fixture(scope="module")
+def train_records(small_bank, small_records):
+    """The bank's training-fraction baseline experiments. Every experiment
+    of damage_records scores novel; some of these do not."""
+    return experiment_records(small_records, small_bank.train_keys)
+
+
+@pytest.fixture(scope="module")
+def train_report(small_bank, train_records):
+    return pipeline.detect(small_bank, train_records)
+
+
+def test_training_baselines_include_a_non_novel_experiment(train_report):
+    assert any(not res.novelty for res in train_report.results)
+
+
+def check_result_consistency(report, bank):
+    steps = report.step_ids
+    for res in report.results:
         assert len(res.spe_vector.spe) == len(steps)
         assert all(v >= 0.0 for v in res.spe_vector.spe)
         assert res.novelty == any(res.spe_vector.novelty)
@@ -307,13 +323,21 @@ def test_detect_result_consistency(detect_report, small_bank):
         assert res.decision != ""
         for s in steps:
             cell = res.per_step[s]
-            sm = small_bank.steps[s]
+            sm = bank.steps[s]
             assert cell["qe"] >= 0.0
             assert cell["scored_cluster"] in sm.clusters
             assert sm.clusters[cell["scored_cluster"]].model is not None
             if cell["selected"] != "novel":
                 assert cell["selected"] == cell["scored_cluster"]
                 assert cell["qe"] <= sm.clusters[cell["selected"]].q95 + 1e-12
+
+
+def test_detect_result_consistency(detect_report, small_bank):
+    check_result_consistency(detect_report, small_bank)
+
+
+def test_detect_result_consistency_on_training_baselines(train_report, small_bank):
+    check_result_consistency(train_report, small_bank)
 
 
 def experiment_records(records, keys):
@@ -389,13 +413,13 @@ def test_threshold_rule_below_four_spe_vectors(small_bank, small_records, damage
         "baseline": "baseline-like", "damage": "novel/damage"}
 
 
-def test_detect_novelty_gate_recheckable(small_bank, damage_records):
+def check_novelty_gate(bank, records):
     # recompute selection per step from raw rows and compare with the gate
-    for s in small_bank.step_ids:
-        rows, _ = step_rows(small_bank, damage_records, s)
-        sm = small_bank.steps[s]
+    for s in bank.step_ids:
+        rows, _ = step_rows(bank, records, s)
+        sm = bank.steps[s]
         for key, row in rows.items():
-            sel = pipeline.select_baseline(small_bank, s, row)
+            sel = pipeline.select_baseline(bank, s, row)
             cid = int(sm.partition.unit_label[sel.bmu])
             if not sel.novel:
                 assert sel.qe <= sm.clusters[sel.cluster].q95 + 1e-12
@@ -405,6 +429,14 @@ def test_detect_novelty_gate_recheckable(small_bank, damage_records):
                     or sm.clusters[cid].model is None
                     or sel.qe > sm.clusters[cid].q95
                 )
+
+
+def test_detect_novelty_gate_recheckable(small_bank, damage_records):
+    check_novelty_gate(small_bank, damage_records)
+
+
+def test_detect_novelty_gate_recheckable_on_training_baselines(small_bank, train_records):
+    check_novelty_gate(small_bank, train_records)
 
 
 def test_detect_incomplete_experiment_listed(small_bank, damage_records):

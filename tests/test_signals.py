@@ -9,6 +9,7 @@ import pytest
 
 from aubase import signals
 from aubase.errors import DataFormatError, InvalidArgumentError
+from util import make_toneburst
 
 
 def tiny_config(**kw) -> signals.ScenarioConfig:
@@ -27,25 +28,25 @@ def tiny_config(**kw) -> signals.ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# make_toneburst
+# toneburst
 # ---------------------------------------------------------------------------
 
 
 def test_toneburst_reference_shape():
-    burst = signals.make_toneburst(50e3, 5, 12.0, 1e6)
+    burst = make_toneburst(50e3, 5, 12.0, 1e6)
     assert len(burst) == 100
     assert np.max(np.abs(burst)) <= 12.0 + 1e-12
     assert burst[0] == 0.0
 
 
 def test_toneburst_zero_amplitude_is_all_zero():
-    burst = signals.make_toneburst(50e3, 5, 0.0, 1e6)
+    burst = make_toneburst(50e3, 5, 0.0, 1e6)
     assert np.all(burst == 0.0)
 
 
 def test_toneburst_matches_closed_form():
     carrier, cycles, amp, rate = 1e3, 1, 2.5, 1e5
-    burst = signals.make_toneburst(carrier, cycles, amp, rate)
+    burst = make_toneburst(carrier, cycles, amp, rate)
     duration = cycles / carrier
     n = len(burst)
     assert n == 100
@@ -63,13 +64,13 @@ def test_toneburst_matches_closed_form():
 
 def test_toneburst_validation():
     with pytest.raises(InvalidArgumentError):
-        signals.make_toneburst(-1.0, 5, 12.0, 1e6)
+        make_toneburst(-1.0, 5, 12.0, 1e6)
     with pytest.raises(InvalidArgumentError):
-        signals.make_toneburst(50e3, 0, 12.0, 1e6)
+        make_toneburst(50e3, 0, 12.0, 1e6)
     with pytest.raises(InvalidArgumentError):
-        signals.make_toneburst(50e3, 5, 12.0, 400e3)  # below 10x carrier
+        make_toneburst(50e3, 5, 12.0, 400e3)  # below 10x carrier
     with pytest.raises(InvalidArgumentError):
-        signals.make_toneburst(50e3, 5, -2.0, 1e6)
+        make_toneburst(50e3, 5, -2.0, 1e6)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,7 @@ def test_synthesize_clean_superposition():
     cfg = tiny_config(noise_snr_db=None, temp_stretch_per_c=1e-3, temp_gain_per_c=0.01)
     rng = np.random.default_rng(0)
     got = signals.synthesize(cfg, 1, 2, 35.0, 0.0, rng)  # T_ref, severity 0
-    burst = signals.make_toneburst(
+    burst = make_toneburst(
         cfg.carrier_freq_hz, cfg.n_cycles, cfg.amplitude, cfg.sample_rate_hz
     )
     expected = np.zeros(cfg.n_samples)
@@ -210,6 +211,25 @@ def test_generate_dataset_deterministic():
     assert [r.id for r in a] == [r.id for r in b]
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.samples, rb.samples)
+
+
+def test_record_count_matches_spec_enumeration():
+    cases = [
+        tiny_config(),
+        tiny_config(damage_severities=[1.0, 2.0, 3.0], damage_temperatures_c=[45.0]),
+        tiny_config(n_transducers=4, damage_severities=[1.0, 2.0]),
+        signals.reference_scenario(with_damage=True),
+    ]
+    for cfg in cases:
+        assert signals._record_count(cfg) == len(list(signals._iter_record_specs(cfg)))
+
+
+def test_size_limit_admits_reference_damage_and_refuses_beyond():
+    cfg = signals.reference_scenario(with_damage=True)
+    signals._validate_config(cfg)  # 3,888 x 16,384 x 8 bytes = 509 MB
+    limit_samples = signals.MAX_SCENARIO_BYTES // (8 * signals._record_count(cfg))
+    with pytest.raises(InvalidArgumentError, match="limit"):
+        signals._validate_config(dataclasses.replace(cfg, n_samples=limit_samples + 1))
 
 
 def test_generate_dataset_empty_temperatures_rejected():

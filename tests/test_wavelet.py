@@ -1,11 +1,17 @@
 """Filter-bank decomposition, entropy, and depth selection."""
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aubase
 from aubase import wavelet
 from aubase.errors import InvalidArgumentError
+from util import make_toneburst
 
 
 def naive_level(x, h, g):
@@ -191,9 +197,7 @@ def exhaustive_argmin(x, max_level):
 
 
 def test_select_level_matches_exhaustive_scan_on_toneburst():
-    from aubase import signals
-
-    x = signals.make_toneburst(50e3, 5, 12.0, 1e6)
+    x = make_toneburst(50e3, 5, 12.0, 1e6)
     x = np.concatenate([x, np.zeros(4096 - len(x))])
     assert wavelet.select_level(x) == exhaustive_argmin(x, 8)
 
@@ -282,21 +286,55 @@ def test_extract_features_counts_and_zero_pad():
 
 
 def test_extract_features_matches_dwt_approx():
+    # the composite filter sums in another order than the cascade, so the
+    # two agree to rounding, not bitwise; at n = 300 and level 8 the padded
+    # record is shorter than the periodic extension, which wraps it cyclically
     rng = np.random.default_rng(4)
-    x = rng.normal(size=512)
-    assert np.array_equal(wavelet.extract_features(x, 4), wavelet.dwt(x, 4).approx)
+    for n in (100, 300, 777, 16384):
+        x = rng.normal(size=n)
+        for level in range(1, 9):
+            block = 1 << level
+            padded = np.concatenate([x, np.zeros(-n % block)])
+            want = wavelet.dwt(padded, level).approx
+            got = wavelet.extract_features(x, level)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("rows", [1, 3, 4, 5, 9])
 def test_extract_features_block_rows_bitwise_equal_single_signal(rows):
+    # a row's features do not depend on the block it sits in or its place there
     rng = np.random.default_rng(rows)
     for n in (100, 777, 5000):
         block = rng.normal(size=(rows, n))
-        for level in (1, 3, 8):
+        for level in range(1, 9):
             got = wavelet.extract_features(block, level)
             assert got.shape == (rows, -(-n // (1 << level)))
             for x, row in zip(block, got):
                 assert np.array_equal(row, wavelet.extract_features(x, level))
+            order = rng.permutation(rows)
+            assert np.array_equal(wavelet.extract_features(block[order], level), got[order])
+
+
+def features_digest() -> str:
+    rng = np.random.default_rng(64)
+    block = rng.normal(size=(64, 4096))
+    feats = [wavelet.extract_features(block, level) for level in (1, 4, 8)]
+    return hashlib.sha256(b"".join(f.tobytes() for f in feats)).hexdigest()
+
+
+def test_extract_features_same_bits_with_one_and_two_blas_threads():
+    src = os.path.dirname(os.path.dirname(aubase.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    here = features_digest()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import test_wavelet; print(test_wavelet.features_digest())"],
+            env=env, cwd=tests, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == here
 
 
 def test_block_inputs_checked_like_signals():

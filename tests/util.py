@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 
+from aubase import signals
+
 
 def best_agreement(truth, predicted) -> float:
     """Fraction of items whose predicted cluster matches the truth group
@@ -31,3 +33,12 @@ def best_agreement(truth, predicted) -> float:
 def random_symmetric(rng: np.random.Generator, m: int, scale: float = 1.0) -> np.ndarray:
     a = rng.normal(0.0, scale, (m, m))
     return (a + a.T) / 2.0
+
+
+def make_toneburst(carrier_freq_hz, n_cycles, amplitude, sample_rate_hz) -> np.ndarray:
+    """Hanning-windowed cosine burst sampled on [0, n_cycles / carrier), from
+    the burst kernel and range checks the scenario generator uses."""
+    signals._validate_burst(carrier_freq_hz, n_cycles, amplitude, sample_rate_hz)
+    n = int(round(n_cycles / carrier_freq_hz * sample_rate_hz))
+    t = np.arange(n) / sample_rate_hz
+    return signals._burst_at(t, carrier_freq_hz, n_cycles, amplitude)
