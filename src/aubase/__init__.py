@@ -26,7 +26,6 @@ from .fusion import (
     build_step_layouts,
     experiment_key,
     fit_group_scaling,
-    unfold,
 )
 from .pca import PcaModel, covariance, eig_sym, spe, spe_control_limit
 from .pipeline import (
@@ -48,7 +47,7 @@ from .signals import (
 )
 from .som import SomModel, init_som, train, u_matrix
 from .store import load_bank, save_bank
-from .wavelet import db8, dwt, extract_features, idwt, select_level, shannon_entropy
+from .wavelet import dwt, extract_features, idwt, select_level, shannon_entropy
 
 __all__ = [
     "AubaseError",
@@ -75,7 +74,6 @@ __all__ = [
     "cluster",
     "compare_monolithic",
     "covariance",
-    "db8",
     "detect",
     "dwt",
     "eig_sym",

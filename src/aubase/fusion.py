@@ -1,17 +1,19 @@
-"""Multiway unfolding of per-channel features and group scaling.
+"""Step layouts, unfolded feature matrices and group scaling.
 
 For one actuation step, every experiment (one actuator firing, all other
-transducers listening) contributes one feature vector per sensing channel.
-Unfolding concatenates those vectors into a single row, so the matrix is
-experiments x (channels * features). Group scaling then centres each column
-and divides every column belonging to a sensing channel by one pooled
-standard deviation for that channel, which equalizes channel energies
+transducers listening) contributes one record, and so one feature vector,
+per sensing channel. A step layout fixes which record fills each channel of
+each experiment. Unfolding concatenates an experiment's channel vectors into
+a single row, so the matrix is experiments x (channels * features); the
+pipeline builds it from the layout in one place. Group scaling then centres
+each column and divides every column belonging to a sensing channel by one
+pooled standard deviation for that channel, which equalizes channel energies
 without destroying the relative scale of features inside a channel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +36,6 @@ class StepLayout:
     actuator_id: int
     sensor_ids: list  # sorted sensing channels
     experiments: list  # list[ExperimentSlot]
-
-    def subset(self, indices) -> "StepLayout":
-        return StepLayout(
-            actuator_id=self.actuator_id,
-            sensor_ids=list(self.sensor_ids),
-            experiments=[self.experiments[i] for i in indices],
-        )
 
 
 @dataclass
@@ -124,43 +119,6 @@ def build_step_layouts(records) -> dict:
     return layouts
 
 
-def unfold(features: dict, layout: StepLayout) -> FeatureMatrix:
-    """Concatenate per-channel feature vectors into one row per experiment.
-
-    features maps record id -> 1-D coefficient vector. Every channel of every
-    experiment must be present and all vectors must share a length.
-    """
-    if not layout.experiments:
-        raise InvalidArgumentError(f"step {layout.actuator_id}: layout has no experiments")
-    width = None
-    rows = []
-    for slot in layout.experiments:
-        parts = []
-        for sensor in layout.sensor_ids:
-            rec_id = slot.record_ids.get(sensor)
-            if rec_id is None or rec_id not in features:
-                raise LayoutError(
-                    f"experiment {slot.key}: missing features for sensor {sensor}"
-                )
-            vec = np.asarray(features[rec_id], dtype=float).ravel()
-            if width is None:
-                width = vec.shape[0]
-            elif vec.shape[0] != width:
-                raise InvalidArgumentError(
-                    f"experiment {slot.key}: feature length {vec.shape[0]} != {width}"
-                )
-            parts.append(vec)
-        rows.append(np.concatenate(parts))
-    values = np.vstack(rows)
-    col_groups = np.repeat(np.arange(len(layout.sensor_ids)), width)
-    return FeatureMatrix(
-        values=values,
-        col_groups=col_groups,
-        sensor_ids=list(layout.sensor_ids),
-        meta=list(layout.experiments),
-    )
-
-
 @dataclass
 class ScalingParams:
     col_means: np.ndarray
@@ -168,20 +126,14 @@ class ScalingParams:
     col_groups: np.ndarray
 
 
-def fit_group_scaling(matrix: FeatureMatrix | np.ndarray, col_groups=None) -> ScalingParams:
+def fit_group_scaling(matrix: FeatureMatrix) -> ScalingParams:
     """Column means plus one pooled sample standard deviation per group.
 
     The pooled std of group g uses every centred entry of the group block
     with the (count - 1) convention. A group with zero variance cannot be
     scaled and raises DegenerateDataError.
     """
-    if isinstance(matrix, FeatureMatrix):
-        values, col_groups = matrix.values, matrix.col_groups
-    else:
-        values = np.asarray(matrix, dtype=float)
-        if col_groups is None:
-            raise InvalidArgumentError("col_groups required for a bare array")
-        col_groups = np.asarray(col_groups)
+    values, col_groups = matrix.values, matrix.col_groups
     if values.ndim != 2 or values.shape[0] < 2:
         raise InvalidArgumentError("group scaling needs a matrix with at least 2 rows")
     means = values.mean(axis=0)
@@ -200,17 +152,9 @@ def fit_group_scaling(matrix: FeatureMatrix | np.ndarray, col_groups=None) -> Sc
     return ScalingParams(col_means=means, group_stds=stds, col_groups=col_groups.copy())
 
 
-def apply_scaling(matrix, params: ScalingParams):
-    """Centre and scale; accepts a FeatureMatrix, a 2-D array, or one row."""
-    if isinstance(matrix, FeatureMatrix):
-        scaled = apply_scaling(matrix.values, params)
-        return FeatureMatrix(
-            values=scaled,
-            col_groups=matrix.col_groups,
-            sensor_ids=list(matrix.sensor_ids),
-            meta=list(matrix.meta),
-        )
-    values = np.asarray(matrix, dtype=float)
+def apply_scaling(values, params: ScalingParams) -> np.ndarray:
+    """Centre and scale a 2-D array of rows, or one row."""
+    values = np.asarray(values, dtype=float)
     if values.shape[-1] != params.col_means.shape[0]:
         raise InvalidArgumentError(
             f"column count {values.shape[-1]} does not match scaling "

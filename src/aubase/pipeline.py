@@ -2,7 +2,10 @@
 
 Phase 1 (training) runs per actuation step on baseline records only:
 wavelet features are extracted at the entropy-selected level, unfolded per
-experiment, and split 70/30 into training and validation experiments. A SOM
+experiment, and split 70/30 into training and validation experiments. One
+builder, _step_matrix, makes every step's unfolded matrix, for training,
+detection and the monolithic comparison alike: the records of a step share
+one 1-D sample length, and their features are stacked in layout order. A SOM
 is batch-trained on the training fraction and clustered (density + border
 merging), which discovers the operating-condition groups without being told
 how many there are. Every cluster with enough members gets its own group
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .errors import (
     LayoutError,
     check_fields,
 )
-from .fusion import FeatureMatrix, build_step_layouts, unfold
+from .fusion import FeatureMatrix, build_step_layouts
 
 QUANTILE = 0.95
 # Records per block for level selection and features. Stacking amortizes
@@ -175,38 +178,65 @@ def _split_indices(n: int, train_frac: float, seed: int):
     return sorted(order[:n_train].tolist()), sorted(order[n_train:].tolist())
 
 
-def _blocks(records):
-    """Yield (records, block) pairs: records of one sample length stacked
-    into (rows, samples) blocks of at most BLOCK_ROWS rows."""
-    by_shape = {}
-    for rec in records:
-        by_shape.setdefault(np.shape(rec.samples), []).append(rec)
-    for group in by_shape.values():
-        for start in range(0, len(group), BLOCK_ROWS):
-            chunk = group[start:start + BLOCK_ROWS]
-            block = np.stack([rec.samples for rec in chunk])
-            if block.ndim != 2:
-                raise InvalidArgumentError(
-                    f"record {chunk[0].id}: samples must be a 1-D array"
-                )
-            yield chunk, block
+def _blocks(layout, by_id: dict, experiments):
+    """Yield (rows, samples) blocks of at most BLOCK_ROWS records: the
+    records of the given experiments of the layout, experiment-major, each
+    experiment's channels in layout.sensor_ids order. The records of a step
+    must share one 1-D sample length."""
+    samples = [by_id[slot.record_ids[s]].samples
+               for slot in experiments for s in layout.sensor_ids]
+    shapes = sorted({np.shape(x) for x in samples})
+    if len(shapes) != 1 or len(shapes[0]) != 1:
+        raise InvalidArgumentError(
+            f"step {layout.actuator_id}: records must share one 1-D sample "
+            f"length; found sample shapes {shapes}"
+        )
+    for start in range(0, len(samples), BLOCK_ROWS):
+        yield np.stack(samples[start:start + BLOCK_ROWS])
 
 
-def _modal_level(records, config: PipelineConfig) -> int:
+def _modal_level(blocks, config: PipelineConfig) -> int:
     votes = Counter()
-    for _, block in _blocks(records):
+    for block in blocks:
         votes.update(wavelet.select_level(block, max_level=config.max_level).tolist())
     # most common level; ties resolve toward the deeper decomposition
     best = max(votes.items(), key=lambda kv: (kv[1], kv[0]))
     return best[0]
 
 
-def _features_for(records, level: int) -> dict:
-    features = {}
-    for chunk, block in _blocks(records):
-        for rec, row in zip(chunk, wavelet.extract_features(block, level)):
-            features[rec.id] = row
-    return features
+def _step_matrix(layout, by_id: dict, level: int) -> FeatureMatrix:
+    """The step's unfolded features: one row per experiment of the layout,
+    holding its channels' level-`level` approximation coefficients side by
+    side in layout.sensor_ids order. by_id maps record id -> record."""
+    features = np.vstack([
+        wavelet.extract_features(block, level)
+        for block in _blocks(layout, by_id, layout.experiments)
+    ])
+    channels = len(layout.sensor_ids)
+    width = features.shape[1]
+    return FeatureMatrix(
+        values=features.reshape(len(layout.experiments), channels * width),
+        col_groups=np.repeat(np.arange(channels), width),
+        sensor_ids=list(layout.sensor_ids),
+        meta=list(layout.experiments),
+    )
+
+
+def _fit_map(grid, data: np.ndarray, config: PipelineConfig, seed):
+    """(enriched map, partition): a map initialized from seed, batch-trained
+    on data and clustered."""
+    model = som.init_som(
+        grid,
+        data,
+        mode=config.init,
+        seed=seed,
+        kernel_form=config.kernel_form,
+        lambda_start=config.lambda_start,
+        lambda_end=config.lambda_end,
+    )
+    model, _ = som.train(model, data, epochs=config.epochs)
+    enriched = ds2l.enrich(model, data, rho=config.rho)
+    return enriched, ds2l.cluster(enriched, theta=config.theta)
 
 
 def _quantile(values: np.ndarray) -> float:
@@ -255,29 +285,21 @@ def _fit_bank(records, config: PipelineConfig | None):
     fm_by_step = {}
     for si, s in enumerate(step_ids):
         layout = layouts[s]
-        train_recs = [by_id[rid] for i in train_idx
-                      for rid in layout.experiments[i].record_ids.values()]
-        level = config.level if config.level is not None else _modal_level(train_recs, config)
-        features = _features_for([by_id[rid] for slot in layout.experiments
-                                  for rid in slot.record_ids.values()], level)
-        fm_all = fm_by_step[s] = unfold(features, layout)
+        level = config.level
+        if level is None:
+            train_slots = [layout.experiments[i] for i in train_idx]
+            level = _modal_level(_blocks(layout, by_id, train_slots), config)
+        fm_all = fm_by_step[s] = _step_matrix(layout, by_id, level)
         fm_train = fm_all.subset(train_idx)
-        grid = config.grid or som.default_grid(fm_train.n)
-        model = som.init_som(
-            grid,
+        enriched, partition = _fit_map(
+            config.grid or som.default_grid(fm_train.n),
             fm_train.values,
-            mode=config.init,
-            seed=np.random.SeedSequence([config.seed, 2, si]),
-            kernel_form=config.kernel_form,
-            lambda_start=config.lambda_start,
-            lambda_end=config.lambda_end,
+            config,
+            np.random.SeedSequence([config.seed, 2, si]),
         )
-        model, _ = som.train(model, fm_train.values, epochs=config.epochs)
-        enriched = ds2l.enrich(model, fm_train.values, rho=config.rho)
-        partition = ds2l.cluster(enriched, theta=config.theta)
 
         qe_all = np.sqrt(
-            np.sum((fm_train.values - model.weights[enriched.bmu1]) ** 2, axis=1)
+            np.sum((fm_train.values - enriched.som.weights[enriched.bmu1]) ** 2, axis=1)
         )
         clusters = {}
         for cid in range(partition.n_clusters):
@@ -313,7 +335,7 @@ def _fit_bank(records, config: PipelineConfig | None):
             level=level,
             sensor_ids=list(layout.sensor_ids),
             feature_width=fm_all.m,
-            map=model,
+            map=enriched.som,
             rho=enriched.rho,
             theta=config.theta,
             partition=partition,
@@ -448,6 +470,7 @@ def _experiment_rows(bank: BaselineBank, records):
     extra = [s for s in layouts if s not in bank.steps]
     if extra:
         raise LayoutError(f"records contain steps {extra} the bank was not trained on")
+    by_id = {r.id: r for r in records}
     rows = {}
     for s in bank.step_ids:
         step = bank.steps[s]
@@ -457,10 +480,7 @@ def _experiment_rows(bank: BaselineBank, records):
                 f"step {s}: sensing channels {layout.sensor_ids} do not match "
                 f"the bank ({step.sensor_ids})"
             )
-        features = _features_for(
-            [r for r in records if r.actuator_id == s], step.level
-        )
-        fm = unfold(features, layout)
+        fm = _step_matrix(layout, by_id, step.level)
         rows[s] = {slot.key: fm.values[i] for i, slot in enumerate(fm.meta)}
     complete, incomplete = [], []
     for slot in layouts[bank.step_ids[0]].experiments:
@@ -548,18 +568,7 @@ def _second_level(bank: BaselineBank, results, config: PipelineConfig) -> None:
         rows_default, _ = som.default_grid(z.shape[0])
         side = max(2, min(rows_default, int(np.sqrt(z.shape[0] / 4.0))))
         grid = (side, side)
-    model = som.init_som(
-        grid,
-        z,
-        mode=config.init,
-        seed=np.random.SeedSequence([config.seed, 3]),
-        kernel_form=config.kernel_form,
-        lambda_start=config.lambda_start,
-        lambda_end=config.lambda_end,
-    )
-    model, _ = som.train(model, z, epochs=config.epochs)
-    enriched = ds2l.enrich(model, z, rho=config.rho)
-    partition = ds2l.cluster(enriched, theta=config.theta)
+    _, partition = _fit_map(grid, z, config, np.random.SeedSequence([config.seed, 3]))
 
     tags = ["baseline"] * len(reference) + [
         _state_tag(r.state, r.severity) for r in results
@@ -637,6 +646,7 @@ def compare_monolithic(records, config: PipelineConfig | None = None) -> Compari
         )
     bank, fm_by_step = _fit_bank(baselines, config)
     dmg_layouts = build_step_layouts(damages)
+    dmg_by_id = {r.id: r for r in damages}
     missing = [s for s in bank.step_ids if s not in dmg_layouts]
     if missing:
         raise LayoutError(f"damage records do not cover steps {missing}")
@@ -655,10 +665,7 @@ def compare_monolithic(records, config: PipelineConfig | None = None) -> Compari
         mono_thr = _quantile(pca.spe(mono, fm_train.values))
         mono_jm = pca.spe_control_limit(mono, alpha=1.0 - QUANTILE)
 
-        dmg_features = _features_for(
-            [r for r in damages if r.actuator_id == s], sm.level
-        )
-        fm_dmg = unfold(dmg_features, dmg_layouts[s])
+        fm_dmg = _step_matrix(dmg_layouts[s], dmg_by_id, sm.level)
 
         prop_scores, mono_scores, labels = [], [], []
         for values, label in ((fm_val.values, 0), (fm_dmg.values, 1)):

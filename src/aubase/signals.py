@@ -30,7 +30,13 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import NON_NEGATIVE, DataFormatError, InvalidArgumentError, check_fields
+from .errors import (
+    FIELD_KINDS,
+    NON_NEGATIVE,
+    DataFormatError,
+    InvalidArgumentError,
+    check_fields,
+)
 
 MANIFEST_KEYS = (
     "id",
@@ -42,6 +48,12 @@ MANIFEST_KEYS = (
     "sample_rate_hz",
     "path",
 )
+# JSON value kind of each numeric manifest field
+_MANIFEST_KINDS = {
+    "actuator_id": "an integer", "sensor_id": "an integer",
+    "temperature_c": "a finite number", "severity": "a finite number",
+    "sample_rate_hz": "a finite number",
+}
 
 # Transducers sit on a circle inscribed in the unit plate; the damage spot is
 # fixed off-centre so each actuator-sensor path gets a distinct weight.
@@ -463,12 +475,13 @@ def load_dataset(manifest_path: str) -> list:
             raise DataFormatError(f"manifest row {i}: id must be a nonempty string")
         if row["state"] not in ("baseline", "damage"):
             raise DataFormatError(f"record {rec_id}: unknown state {row['state']!r}")
-        for key in ("actuator_id", "sensor_id"):
-            if not isinstance(row[key], int):
-                raise DataFormatError(f"record {rec_id}: {key} must be an integer")
-        for key in ("temperature_c", "severity", "sample_rate_hz"):
-            if not isinstance(row[key], (int, float)) or isinstance(row[key], bool):
-                raise DataFormatError(f"record {rec_id}: {key} must be a number")
+        for key, kind in _MANIFEST_KINDS.items():
+            if not FIELD_KINDS[kind](row[key]):
+                raise DataFormatError(
+                    f"record {rec_id}: {key} must be {kind}, got {row[key]!r}"
+                )
+        if not isinstance(row["path"], str) or not row["path"]:
+            raise DataFormatError(f"record {rec_id}: path must be a nonempty string")
         samples = _parse_samples(os.path.join(base, row["path"]), rec_id)
         records.append(
             SignalRecord(

@@ -63,8 +63,10 @@ def canonical_json(obj) -> str:
 
 
 def write_json(path: str, obj) -> None:
+    # serialize first: a refused document leaves no file behind
+    text = canonical_json(obj)
     with open(path, "w") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(text)
 
 
 def read_json(path: str):

@@ -1,8 +1,10 @@
-"""Orthonormal discrete wavelet transform with periodic boundaries.
+"""Orthonormal db8 discrete wavelet transform with periodic boundaries.
 
 The decomposition is the classic two-channel filter bank: at each level the
 working signal is correlated with the scaling filter h and the wavelet filter
 g, both downsampled by two, with indices wrapped modulo the working length.
+The method uses one wavelet, Daubechies 8, so the filters are the module
+constants DB8_H and DB8_G.
 The synthesis pass is the exact adjoint, so the transform is orthonormal and
 conserves energy to rounding error.
 
@@ -10,8 +12,9 @@ Feature extraction keeps only the deepest approximation coefficients. By
 the noble identity of multirate filter banks, L levels of filtering with h
 and downsampling by 2 are one correlation with the level-L composite filter
 and downsampling by 2^L, so extract_features makes that one pass, in
-polyphase form: one small matrix product per record. It agrees with the
-cascade to rounding (about 1e-15 of the largest coefficient), not bitwise.
+polyphase form: one small matrix product per record, with the filter's
+polyphase form built once per level. It agrees with the cascade to
+rounding (about 1e-15 of the largest coefficient), not bitwise.
 The decomposition depth can be chosen per signal by minimizing the Shannon
 entropy of the approximation; select_level needs every level's
 approximation, so it runs the cascade with the h channel alone, and dwt and
@@ -24,7 +27,7 @@ its own.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,31 +57,14 @@ DB8_H = np.array([
     -0.000117476784124769533731,
 ])
 
+# Its quadrature mirror, the wavelet filter: g[k] = (-1)^k h[15 - k]. Both
+# filters are read-only, so the polyphase forms cached per level below
+# always match them.
+DB8_G = np.where(np.arange(16) % 2 == 0, 1.0, -1.0) * DB8_H[::-1]
+DB8_H.flags.writeable = False
+DB8_G.flags.writeable = False
+
 DEFAULT_MAX_LEVEL = 8
-
-
-def quadrature_mirror(h: np.ndarray) -> np.ndarray:
-    """Wavelet filter from a scaling filter: g[k] = (-1)^k h[L-1-k]."""
-    taps = len(h)
-    signs = np.where(np.arange(taps) % 2 == 0, 1.0, -1.0)
-    return signs * h[::-1]
-
-
-@dataclass(frozen=True)
-class WaveletFilterBank:
-    """Analysis filter pair for an orthonormal two-channel bank."""
-
-    name: str
-    h: np.ndarray
-    g: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.g is None:
-            object.__setattr__(self, "g", quadrature_mirror(self.h))
-
-
-def db8() -> WaveletFilterBank:
-    return WaveletFilterBank(name="db8", h=DB8_H.copy())
 
 
 @dataclass
@@ -108,10 +94,9 @@ def _zero_pad(x: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate([x, np.zeros(x.shape[:-1] + (length - x.shape[-1],))], axis=-1)
 
 
-def dwt(x: np.ndarray, level: int, bank: WaveletFilterBank | None = None) -> WaveletDecomposition:
+def dwt(x: np.ndarray, level: int) -> WaveletDecomposition:
     """Decompose x down to the given level. len(x) must be divisible by 2^level."""
     x = _check_signal(x)
-    bank = bank or db8()
     if x.ndim != 1:
         raise InvalidArgumentError("dwt decomposes one 1-D signal")
     if level < 1:
@@ -125,8 +110,8 @@ def dwt(x: np.ndarray, level: int, bank: WaveletFilterBank | None = None) -> Wav
     approx = x
     details = []
     for _ in range(level):
-        details.append(_kernels.analysis_level(approx, bank.g))
-        approx = _kernels.analysis_level(approx, bank.h)
+        details.append(_kernels.analysis_level(approx, DB8_G))
+        approx = _kernels.analysis_level(approx, DB8_H)
     return WaveletDecomposition(
         level=level,
         approx=approx,
@@ -136,14 +121,13 @@ def dwt(x: np.ndarray, level: int, bank: WaveletFilterBank | None = None) -> Wav
     )
 
 
-def idwt(decomp: WaveletDecomposition, bank: WaveletFilterBank | None = None) -> np.ndarray:
+def idwt(decomp: WaveletDecomposition) -> np.ndarray:
     """Invert a decomposition; exact up to rounding because the bank is orthonormal."""
-    bank = bank or db8()
     x = decomp.approx
     for d in reversed(decomp.details):
         if d.shape != x.shape:
             raise InvalidArgumentError("inconsistent coefficient lengths in decomposition")
-        x = _kernels.idwt_level(x, d, bank.h, bank.g)
+        x = _kernels.idwt_level(x, d, DB8_H, DB8_G)
     if x.shape[0] != decomp.original_length:
         raise InvalidArgumentError("decomposition does not match its recorded length")
     return x
@@ -163,11 +147,7 @@ def shannon_entropy(coeffs: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-def extract_features(
-    x: np.ndarray,
-    level: int,
-    bank: WaveletFilterBank | None = None,
-) -> np.ndarray:
+def extract_features(x: np.ndarray, level: int) -> np.ndarray:
     """Approximation coefficients at the given level, zero-padding the tail
     to the next multiple of 2^level when the length requires it.
 
@@ -177,22 +157,18 @@ def extract_features(
     one row of coefficients per record.
     """
     x = _check_signal(x)
-    bank = bank or db8()
     if level < 1:
         raise InvalidArgumentError(f"level must be >= 1, got {level}")
     block = 1 << level
     padded = _zero_pad(x, -(-x.shape[-1] // block) * block)
-    return _kernels.decimated_correlation(
-        padded, _polyphase_filter(np.asarray(bank.h, dtype=float).tobytes(), level)
-    )
+    return _kernels.decimated_correlation(padded, _polyphase_filter(level))
 
 
 @functools.lru_cache(maxsize=16)
-def _polyphase_filter(h_bytes: bytes, level: int) -> np.ndarray:
+def _polyphase_filter(level: int) -> np.ndarray:
     """Read-only (2^level, P) polyphase form of the level-`level` composite
-    of the scaling filter whose float64 bytes are h_bytes; built once per
-    (filter, level)."""
-    c = _kernels.composite_filter(np.frombuffer(h_bytes), level)
+    of DB8_H; built once per level."""
+    c = _kernels.composite_filter(DB8_H, level)
     block = 1 << level
     taps = -(-c.shape[0] // block)
     phases = np.zeros(taps * block)
@@ -202,11 +178,7 @@ def _polyphase_filter(h_bytes: bytes, level: int) -> np.ndarray:
     return phases
 
 
-def select_level(
-    x: np.ndarray,
-    bank: WaveletFilterBank | None = None,
-    max_level: int = DEFAULT_MAX_LEVEL,
-):
+def select_level(x: np.ndarray, max_level: int = DEFAULT_MAX_LEVEL):
     """Decomposition depth whose approximation has minimum Shannon entropy.
 
     Levels 1..max_level are scanned (capped so at least one coefficient
@@ -219,7 +191,6 @@ def select_level(
     an int array with one level per record.
     """
     x = _check_signal(x)
-    bank = bank or db8()
     if max_level < 1:
         raise InvalidArgumentError(f"max_level must be >= 1, got {max_level}")
     rows = x.reshape(-1, x.shape[-1])
@@ -238,8 +209,8 @@ def select_level(
             padded = target
             approx = _zero_pad(rows, target)
             for _ in range(lvl - 1):
-                approx = _kernels.analysis_level(approx, bank.h)
-        approx = _kernels.analysis_level(approx, bank.h)
+                approx = _kernels.analysis_level(approx, DB8_H)
+        approx = _kernels.analysis_level(approx, DB8_H)
         ent = np.array([shannon_entropy(a) for a in approx])
         deeper = ent <= best_entropy
         best_entropy[deeper] = ent[deeper]

@@ -412,6 +412,42 @@ def test_generate_rejects_bad_scenario_field(tmp_path, capsys, edit):
     assert not out.exists()
 
 
+MANIFEST_CASES = {
+    "path-int": ("path", 5),
+    "path-null": ("path", None),
+    "path-empty": ("path", ""),
+    "temperature-nan": ("temperature_c", math.nan),
+    "temperature-inf": ("temperature_c", math.inf),
+    "actuator-bool": ("actuator_id", True),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "detect"])
+@pytest.mark.parametrize("edit", list(MANIFEST_CASES.values()), ids=list(MANIFEST_CASES))
+def test_train_and_detect_reject_mistyped_manifest_row(workflow, tmp_path, capsys,
+                                                       command, edit):
+    data, bank = workflow[2], workflow[3]
+    edited = str(tmp_path / "data")
+    shutil.copytree(data, edited)
+    manifest = os.path.join(edited, "manifest.json")
+    with open(manifest) as fh:
+        doc = json.load(fh)
+    key, value = edit
+    doc[0][key] = value
+    with open(manifest, "w") as fh:  # json.dump writes NaN and Infinity
+        json.dump(doc, fh)
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--data", edited, "--out", str(out)],
+        "detect": ["detect", "--bank", bank, "--data", edited, "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "data-format" in err and key in err
+    assert not out.exists()
+
+
 def test_generate_refuses_oversized_scenario_before_allocating(tmp_path, capsys, monkeypatch):
     # 2**40 samples a record is 8 TiB each: the scenario check refuses it, and
     # nothing that makes sample arrays is reached

@@ -1,8 +1,8 @@
-"""Unfolding and group-scaling behaviour."""
+"""Step layouts, unfolding and group-scaling behaviour."""
 import numpy as np
 import pytest
 
-from aubase import fusion, signals
+from aubase import fusion, pipeline, signals, wavelet
 from aubase.errors import DegenerateDataError, InvalidArgumentError, LayoutError
 
 
@@ -23,37 +23,50 @@ def layout_for(n_channels: int, n_experiments: int) -> fusion.StepLayout:
     )
 
 
-def features_for(layout, width, rng=None):
-    feats = {}
-    for slot in layout.experiments:
-        for rec_id in slot.record_ids.values():
-            if rng is None:
-                feats[rec_id] = np.arange(width, dtype=float)
-            else:
-                feats[rec_id] = rng.normal(size=width)
-    return feats
+def records_for(layout, n_samples, rng):
+    """Record id -> record of random samples, for every channel of every
+    experiment of the layout."""
+    return {
+        rec_id: signals.SignalRecord(
+            id=rec_id,
+            actuator_id=layout.actuator_id,
+            sensor_id=sensor,
+            temperature_c=slot.temperature_c,
+            state=slot.state,
+            severity=slot.severity,
+            sample_rate_hz=1e6,
+            samples=rng.normal(size=n_samples),
+        )
+        for slot in layout.experiments
+        for sensor, rec_id in slot.record_ids.items()
+    }
+
+
+def record_features(by_id, rec_id, level):
+    return wavelet.extract_features(by_id[rec_id].samples, level)
 
 
 # ---------------------------------------------------------------------------
-# unfold
+# unfolding (pipeline._step_matrix builds every step's matrix)
 # ---------------------------------------------------------------------------
 
 
 def test_unfold_single_channel_stacks_vectors():
     layout = layout_for(1, 4)
-    rng = np.random.default_rng(0)
-    feats = features_for(layout, 6, rng)
-    mat = fusion.unfold(feats, layout)
-    assert mat.values.shape == (4, 6)
+    by_id = records_for(layout, 64, np.random.default_rng(0))
+    mat = pipeline._step_matrix(layout, by_id, 2)
+    assert mat.values.shape == (4, 16)
     for row, slot in zip(mat.values, layout.experiments):
-        assert np.array_equal(row, feats[slot.record_ids[1]])
+        assert np.array_equal(row, record_features(by_id, slot.record_ids[1], 2))
 
 
 def test_unfold_three_channels_sixteen_coeffs():
     layout = layout_for(3, 5)
-    rng = np.random.default_rng(1)
-    feats = features_for(layout, 16, rng)
-    mat = fusion.unfold(feats, layout)
+    for slot in layout.experiments:
+        # the layout's sensor order decides the channel order, not the slot's
+        slot.record_ids = dict(reversed(slot.record_ids.items()))
+    by_id = records_for(layout, 256, np.random.default_rng(1))
+    mat = pipeline._step_matrix(layout, by_id, 4)
     assert mat.m == 48
     assert mat.n == 5
     groups, counts = np.unique(mat.col_groups, return_counts=True)
@@ -62,41 +75,39 @@ def test_unfold_three_channels_sixteen_coeffs():
     # channel blocks appear in ascending sensor order
     slot = layout.experiments[2]
     row = mat.values[2]
-    assert np.array_equal(row[:16], feats[slot.record_ids[1]])
-    assert np.array_equal(row[16:32], feats[slot.record_ids[2]])
-    assert np.array_equal(row[32:], feats[slot.record_ids[3]])
+    assert np.array_equal(row[:16], record_features(by_id, slot.record_ids[1], 4))
+    assert np.array_equal(row[16:32], record_features(by_id, slot.record_ids[2], 4))
+    assert np.array_equal(row[32:], record_features(by_id, slot.record_ids[3], 4))
 
 
 def test_unfold_refold_recovers_inputs():
-    layout = layout_for(3, 4)
-    rng = np.random.default_rng(2)
-    feats = features_for(layout, 8, rng)
-    mat = fusion.unfold(feats, layout)
+    # 6 experiments x 3 channels: feature blocks end inside experiments,
+    # and 100 samples are zero-padded to 104 at level 3
+    layout = layout_for(3, 6)
+    by_id = records_for(layout, 100, np.random.default_rng(2))
+    mat = pipeline._step_matrix(layout, by_id, 3)
+    assert mat.meta == layout.experiments
+    assert mat.sensor_ids == layout.sensor_ids
     width = mat.m // len(mat.sensor_ids)
+    assert width == 13
     for i, slot in enumerate(mat.meta):
         for g, sensor in enumerate(mat.sensor_ids):
             block = mat.values[i, mat.col_groups == g]
             assert block.shape == (width,)
-            assert np.array_equal(block, feats[slot.record_ids[sensor]])
-
-
-def test_unfold_missing_channel_names_experiment_and_sensor():
-    layout = layout_for(3, 3)
-    feats = features_for(layout, 4)
-    del feats[layout.experiments[1].record_ids[2]]
-    with pytest.raises(LayoutError) as err:
-        fusion.unfold(feats, layout)
-    msg = str(err.value)
-    assert layout.experiments[1].key in msg
-    assert "sensor 2" in msg
+            assert np.array_equal(block, record_features(by_id, slot.record_ids[sensor], 3))
 
 
 def test_unfold_ragged_lengths_rejected():
+    # 776 and 777 samples give the same 98 coefficients at level 3: the
+    # records of one step must share one sample length all the same
     layout = layout_for(2, 2)
-    feats = features_for(layout, 4)
-    feats[layout.experiments[1].record_ids[2]] = np.zeros(5)
-    with pytest.raises(InvalidArgumentError):
-        fusion.unfold(feats, layout)
+    by_id = records_for(layout, 776, np.random.default_rng(3))
+    victim = by_id[layout.experiments[1].record_ids[2]]
+    victim.samples = np.zeros(777)
+    with pytest.raises(InvalidArgumentError) as err:
+        pipeline._step_matrix(layout, by_id, 3)
+    msg = str(err.value)
+    assert "(776,)" in msg and "(777,)" in msg
 
 
 def test_build_step_layouts_groups_by_actuator():
@@ -184,10 +195,10 @@ def test_apply_normalizes_each_group():
     vals = np.hstack([rng.normal(0, 5, (20, 3)), rng.normal(100, 0.2, (20, 4))])
     mat = matrix(vals, [0, 0, 0, 1, 1, 1, 1])
     params = fusion.fit_group_scaling(mat)
-    out = fusion.apply_scaling(mat, params)
-    assert np.max(np.abs(out.values.mean(axis=0))) < 1e-9
+    out = fusion.apply_scaling(mat.values, params)
+    assert np.max(np.abs(out.mean(axis=0))) < 1e-9
     for g in (0, 1):
-        block = out.values[:, mat.col_groups == g]
+        block = out[:, mat.col_groups == g]
         pooled = np.sqrt(np.sum(block**2) / (block.size - 1))
         assert abs(pooled - 1.0) < 1e-9
 
@@ -196,9 +207,9 @@ def test_apply_not_idempotent():
     rng = np.random.default_rng(4)
     mat = matrix(rng.normal(2.0, 3.0, (10, 2)), [0, 1])
     params = fusion.fit_group_scaling(mat)
-    once = fusion.apply_scaling(mat, params)
+    once = fusion.apply_scaling(mat.values, params)
     twice = fusion.apply_scaling(once, params)
-    assert not np.allclose(once.values, twice.values)
+    assert not np.allclose(once, twice)
 
 
 def test_apply_row_equal_to_means_is_zero():

@@ -183,7 +183,7 @@ def test_fit_gram_route_matches_direct_spectrum_and_spe():
     mat = feature_matrix(x)
     model = pca.fit(mat, 0.95)
     scaling = fusion.fit_group_scaling(mat)
-    xs = fusion.apply_scaling(mat, scaling).values
+    xs = fusion.apply_scaling(mat.values, scaling)
     ref_vals = np.sort(np.linalg.eigvalsh(pca.covariance(xs)))[::-1]
     k = min(len(ref_vals), x.shape[0] - 1)
     assert np.allclose(model.eigvals[:k], np.clip(ref_vals[:k], 0, None), atol=1e-8)
@@ -238,7 +238,7 @@ def test_project_along_first_loading():
 
 def test_residual_orthogonal_to_span():
     model, mat = fitted_model()
-    xs = fusion.apply_scaling(mat, model.scaling).values
+    xs = fusion.apply_scaling(mat.values, model.scaling)
     resid = xs - project(model, mat.values) @ model.loadings.T
     assert np.max(np.abs(resid @ model.loadings)) < 1e-9
 
@@ -278,7 +278,7 @@ def test_spe_non_increasing_in_r():
 
 def test_trace_preserved_by_scaled_spectrum():
     model, mat = fitted_model()
-    xs = fusion.apply_scaling(mat, model.scaling).values
+    xs = fusion.apply_scaling(mat.values, model.scaling)
     c = pca.covariance(xs)
     assert abs(model.eigvals.sum() - np.trace(c)) < 1e-8 * abs(np.trace(c))
 

@@ -13,17 +13,18 @@ from conftest import small_scenario
 
 
 def step_rows(bank, records, step):
-    """Raw unfolded rows for one step, keyed by experiment."""
-    layouts = fusion.build_step_layouts(records)
-    layout = layouts[step]
-    sm = bank.steps[step]
-    feats = {
-        r.id: wavelet.extract_features(r.samples, sm.level)
-        for r in records
-        if r.actuator_id == step
+    """Raw unfolded rows for one step, keyed by experiment: each record's
+    features computed on their own, concatenated in sensor order."""
+    layout = fusion.build_step_layouts(records)[step]
+    level = bank.steps[step].level
+    by_id = {r.id: r for r in records}
+    return {
+        slot.key: np.concatenate([
+            wavelet.extract_features(by_id[slot.record_ids[s]].samples, level)
+            for s in layout.sensor_ids
+        ])
+        for slot in layout.experiments
     }
-    fm = fusion.unfold(feats, layout)
-    return {slot.key: fm.values[i] for i, slot in enumerate(fm.meta)}, fm
 
 
 # ---------------------------------------------------------------------------
@@ -103,26 +104,47 @@ def test_level_override_respected(small_records):
 
 @pytest.mark.parametrize("n_records", [1, 3, 4, 5, 9])
 def test_feature_blocks_match_per_record_calls(small_records, n_records):
-    # every other record is cut to another length, so both lengths' blocks
-    # of BLOCK_ROWS rows end mid-batch
-    picked = [
-        dataclasses.replace(rec, id=rec.id + "-cut", samples=rec.samples[:777]) if i % 2 else rec
-        for i, rec in enumerate(small_records[:n_records])
-    ]
-    for level in (3, 8):
-        feats = pipeline._features_for(picked, level)
-        assert sorted(feats) == sorted(rec.id for rec in picked)
-        for rec in picked:
-            assert np.array_equal(feats[rec.id], wavelet.extract_features(rec.samples, level))
-    votes = Counter(wavelet.select_level(rec.samples) for rec in picked)
-    modal = max(votes.items(), key=lambda kv: (kv[1], kv[0]))[0]
-    assert pipeline._modal_level(picked, pipeline.PipelineConfig()) == modal
+    # step 1 has one channel, so n_records experiments hold n_records records
+    # and the blocks of BLOCK_ROWS rows end mid-batch; 777 samples are
+    # zero-padded at both levels
+    full = fusion.build_step_layouts(small_records)[1]
+    assert full.sensor_ids == [2]
+    layout = dataclasses.replace(full, experiments=full.experiments[:n_records])
+    for n_samples in (4096, 777):
+        by_id = {r.id: dataclasses.replace(r, samples=r.samples[:n_samples])
+                 for r in small_records}
+        picked = [by_id[slot.record_ids[2]] for slot in layout.experiments]
+        for level in (3, 8):
+            fm = pipeline._step_matrix(layout, by_id, level)
+            assert fm.n == n_records
+            for row, rec in zip(fm.values, picked):
+                assert np.array_equal(row, wavelet.extract_features(rec.samples, level))
+        votes = Counter(wavelet.select_level(rec.samples) for rec in picked)
+        modal = max(votes.items(), key=lambda kv: (kv[1], kv[0]))[0]
+        blocks = pipeline._blocks(layout, by_id, layout.experiments)
+        assert pipeline._modal_level(blocks, pipeline.PipelineConfig()) == modal
 
 
 def test_feature_blocks_reject_non_1d_samples(small_records):
-    bad = dataclasses.replace(small_records[0], samples=small_records[0].samples.reshape(2, -1))
-    with pytest.raises(InvalidArgumentError):
-        pipeline._features_for([bad], 3)
+    full = fusion.build_step_layouts(small_records)[1]
+    layout = dataclasses.replace(full, experiments=full.experiments[:1])
+    rec_id = layout.experiments[0].record_ids[2]
+    by_id = {r.id: r for r in small_records}
+    by_id[rec_id] = dataclasses.replace(by_id[rec_id], samples=by_id[rec_id].samples.reshape(2, -1))
+    with pytest.raises(InvalidArgumentError, match=r"\(2, 2048\)"):
+        pipeline._step_matrix(layout, by_id, 3)
+
+
+def test_record_order_changes_neither_bank_nor_report(small_records, small_bank,
+                                                     damage_records, detect_report):
+    order = np.random.default_rng(5).permutation(len(small_records))
+    shuffled = [small_records[i] for i in order]
+    bank = pipeline.train_phase1(shuffled, pipeline.PipelineConfig(seed=0))
+    assert store.bank_hash(bank) == store.bank_hash(small_bank)
+    reversed_report = pipeline.detect(small_bank, damage_records[::-1])
+    assert store.canonical_json(store.detection_report_to_dict(reversed_report)) == (
+        store.canonical_json(store.detection_report_to_dict(detect_report))
+    )
 
 
 def test_validation_never_influences_models(small_records, small_bank):
@@ -174,7 +196,7 @@ def test_train_deterministic(small_records, small_bank):
 def test_select_baseline_memorizes_calm_training_row(small_bank, small_records):
     step = small_bank.step_ids[0]
     sm = small_bank.steps[step]
-    rows, _ = step_rows(small_bank, small_records, step)
+    rows = step_rows(small_bank, small_records, step)
     train_rows = np.vstack([rows[k] for k in small_bank.train_keys])
     bmus = [int(np.argmin(np.sum((sm.map.weights - r) ** 2, axis=1))) for r in train_rows]
     qes = [float(np.linalg.norm(r - sm.map.weights[b])) for r, b in zip(train_rows, bmus)]
@@ -209,7 +231,7 @@ def test_select_baseline_mode_weight_hits_its_cluster(small_bank):
 
 def test_select_baseline_far_outlier_is_novel(small_bank, small_records):
     step = small_bank.step_ids[0]
-    rows, _ = step_rows(small_bank, small_records, step)
+    rows = step_rows(small_bank, small_records, step)
     train_rows = np.vstack([rows[k] for k in small_bank.train_keys])
     mean = train_rows.mean(axis=0)
     radius = float(np.max(np.linalg.norm(train_rows - mean, axis=1)))
@@ -363,7 +385,7 @@ def test_detect_on_held_out_baselines_reproduces_validation(small_bank, small_re
         assert np.array(vec.normalized).tobytes() == np.array(ref.normalized).tobytes()
     cells = {res.key: res.per_step for res in report.results}
     for s in small_bank.step_ids:
-        rows, _ = step_rows(small_bank, held_out, s)
+        rows = step_rows(small_bank, held_out, s)
         assert sorted(rows) == sorted(cells)
         for key, row in rows.items():
             sel = pipeline.select_baseline(small_bank, s, row)
@@ -374,7 +396,7 @@ def test_detect_on_held_out_baselines_reproduces_validation(small_bank, small_re
 def test_threshold_rule_below_four_spe_vectors(small_bank, small_records, damage_records):
     # with fewer than 4 SPE vectors, validation references included, no
     # second map is fit and the first-level scores decide
-    rows = {s: step_rows(small_bank, small_records, s)[0] for s in small_bank.step_ids}
+    rows = {s: step_rows(small_bank, small_records, s) for s in small_bank.step_ids}
     calm_key = next(
         key for key in small_bank.train_keys
         if not any(pipeline.select_baseline(small_bank, s, rows[s][key]).novel
@@ -416,7 +438,7 @@ def test_threshold_rule_below_four_spe_vectors(small_bank, small_records, damage
 def check_novelty_gate(bank, records):
     # recompute selection per step from raw rows and compare with the gate
     for s in bank.step_ids:
-        rows, _ = step_rows(bank, records, s)
+        rows = step_rows(bank, records, s)
         sm = bank.steps[s]
         for key, row in rows.items():
             sel = pipeline.select_baseline(bank, s, row)

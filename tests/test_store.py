@@ -57,6 +57,13 @@ def test_canonical_json_rejects_nan():
         store.canonical_json({"x": np.array([1.0, np.nan])})
 
 
+def test_write_json_refusal_creates_no_file(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(DataFormatError):
+        store.write_json(str(path), {"x": [1.0, float("nan")]})
+    assert not path.exists()
+
+
 def test_write_read_json_round_trip(tmp_path):
     path = str(tmp_path / "doc.json")
     store.write_json(path, {"k": [1, 2, 3], "v": "s"})

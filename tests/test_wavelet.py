@@ -38,20 +38,17 @@ def naive_level(x, h, g):
 
 
 def test_db8_filter_invariants():
-    bank = wavelet.db8()
-    assert bank.name == "db8"
-    assert len(bank.h) == 16 and len(bank.g) == 16
-    assert abs(np.sum(bank.h) - math.sqrt(2.0)) < 1e-12
-    assert abs(np.sum(bank.h**2) - 1.0) < 1e-12
-    taps = len(bank.h)
+    h, g = wavelet.DB8_H, wavelet.DB8_G
+    assert len(h) == 16 and len(g) == 16
+    assert abs(np.sum(h) - math.sqrt(2.0)) < 1e-12
+    assert abs(np.sum(h**2) - 1.0) < 1e-12
+    taps = len(h)
     for k in range(taps):
-        assert abs(bank.g[k] - (-1.0) ** k * bank.h[taps - 1 - k]) < 1e-15
-
-
-def test_quadrature_mirror_hand_case():
-    h = np.array([1.0, 2.0, 3.0, 4.0])
-    g = wavelet.quadrature_mirror(h)
-    assert np.allclose(g, [4.0, -3.0, 2.0, -1.0])
+        assert abs(g[k] - (-1.0) ** k * h[taps - 1 - k]) < 1e-15
+    # the polyphase filters are cached per level, so the filters never change
+    for f in (h, g):
+        with pytest.raises(ValueError):
+            f[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +76,10 @@ def test_dwt_constant_signal_annihilated_details():
 def test_dwt_matches_naive_convolution_cascade():
     rng = np.random.default_rng(42)
     x = rng.normal(size=256)
-    bank = wavelet.db8()
-    dec = wavelet.dwt(x, 4, bank)
+    dec = wavelet.dwt(x, 4)
     cur = x
     for lvl in range(4):
-        a, d = naive_level(cur, bank.h, bank.g)
+        a, d = naive_level(cur, wavelet.DB8_H, wavelet.DB8_G)
         assert np.allclose(dec.details[lvl], d, atol=1e-10)
         cur = a
     assert np.allclose(dec.approx, cur, atol=1e-10)
@@ -227,16 +223,15 @@ def test_select_level_runs_one_cascade(monkeypatch):
 
     calls = []
     real = _kernels.analysis_level
-    bank = wavelet.db8()
 
     def counting(x, f):
         calls.append(x.shape)
-        assert f is bank.h  # the level scan never computes details
+        assert f is wavelet.DB8_H  # the level scan never computes details
         return real(x, f)
 
     monkeypatch.setattr(_kernels, "analysis_level", counting)
     block = np.random.default_rng(3).normal(size=(3, 4096))
-    wavelet.select_level(block, bank, max_level=8)
+    wavelet.select_level(block, max_level=8)
     assert calls == [(3, 4096 >> k) for k in range(8)]
 
 
@@ -259,7 +254,6 @@ def test_select_level_tie_breaks_deeper():
     # Build a signal whose two deepest approximations are single-spike
     # (entropy exactly 0 at both levels): start from a level-3 decomposition
     # with a one-hot approximation and zero details, then invert.
-    bank = wavelet.db8()
     approx = np.zeros(4)
     approx[1] = 2.0
     details = [np.zeros(16), np.zeros(8), np.zeros(4)]
@@ -267,12 +261,12 @@ def test_select_level_tie_breaks_deeper():
         level=3, approx=approx, details=details, boundary="periodic",
         original_length=32,
     )
-    x = wavelet.idwt(dec, bank)
+    x = wavelet.idwt(dec)
     # level 3 approx is one-hot by construction; level 2 approx must then
     # also be sparse enough that its entropy exceeds or ties level 3
-    lvl = wavelet.select_level(x, bank, max_level=3)
-    e2 = wavelet.shannon_entropy(wavelet.extract_features(x, 2, bank))
-    e3 = wavelet.shannon_entropy(wavelet.extract_features(x, 3, bank))
+    lvl = wavelet.select_level(x, max_level=3)
+    e2 = wavelet.shannon_entropy(wavelet.extract_features(x, 2))
+    e3 = wavelet.shannon_entropy(wavelet.extract_features(x, 3))
     assert e3 <= e2
     assert lvl == 3
 
