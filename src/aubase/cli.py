@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
-
-import numpy as np
 
 from . import evaluate, pipeline, signals, som, store
 from .errors import AubaseError, DataFormatError, InvalidArgumentError
@@ -86,20 +83,12 @@ def _manifest_path(data: str) -> str:
     return path
 
 
-def _digest_dataset(manifest_path: str) -> str:
-    """One digest covering the manifest and every referenced sample file."""
+def _load_dataset(manifest_path: str) -> tuple:
+    """(records, one digest covering the manifest and every sample file),
+    the digest taken over the very bytes the records were parsed from."""
     digest = hashlib.sha256()
-    digest.update(store.sha256_file(manifest_path).encode())
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    doc = store.read_json(manifest_path)
-    if isinstance(doc, list):
-        for row in doc:
-            if isinstance(row, dict) and isinstance(row.get("path"), str):
-                full = os.path.join(base, row["path"])
-                if os.path.exists(full):
-                    digest.update(row["path"].encode())
-                    digest.update(store.sha256_file(full).encode())
-    return digest.hexdigest()
+    records = signals.load_dataset(manifest_path, digest=digest)
+    return records, digest.hexdigest()
 
 
 def _digest_dir_json(path: str) -> str:
@@ -182,11 +171,11 @@ def _cmd_generate(args, argv) -> int:
 def _cmd_train(args, argv) -> int:
     manifest = _manifest_path(args.data)
     config = _load_pipeline_config(args.config, args.seed)
-    records = _split_baseline(signals.load_dataset(manifest))
-    bank = pipeline.train_phase1(records, config)
+    records, data_digest = _load_dataset(manifest)
+    bank = pipeline.train_phase1(_split_baseline(records), config)
     os.makedirs(args.out, exist_ok=True)
     store.save_bank(bank, args.out)
-    inputs = {manifest: _digest_dataset(manifest)}
+    inputs = {manifest: data_digest}
     if args.config:
         inputs[args.config] = store.sha256_file(args.config)
     outputs = ["index.json", "validation.json"] + [f"step-{s}.json" for s in bank.step_ids]
@@ -204,13 +193,13 @@ def _cmd_train(args, argv) -> int:
 def _cmd_detect(args, argv) -> int:
     manifest = _manifest_path(args.data)
     bank = store.load_bank(args.bank)
-    records = signals.load_dataset(manifest)
+    records, data_digest = _load_dataset(manifest)
     report = pipeline.detect(bank, records)
     os.makedirs(args.out, exist_ok=True)
     store.write_json(os.path.join(args.out, "report.json"),
                      store.detection_report_to_dict(report))
     inputs = {
-        manifest: _digest_dataset(manifest),
+        manifest: data_digest,
         args.bank: _digest_dir_json(args.bank),
     }
     _write_run(args.out, "detect", argv, bank.config.to_dict(), bank.config.seed,
@@ -289,12 +278,12 @@ def _cmd_evaluate(args, argv) -> int:
 def _cmd_compare(args, argv) -> int:
     manifest = _manifest_path(args.data)
     config = _load_pipeline_config(args.config, args.seed)
-    records = signals.load_dataset(manifest)
+    records, data_digest = _load_dataset(manifest)
     report = pipeline.compare_monolithic(records, config)
     os.makedirs(args.out, exist_ok=True)
     store.write_json(os.path.join(args.out, "comparison.json"),
                      store.comparison_report_to_dict(report))
-    inputs = {manifest: _digest_dataset(manifest)}
+    inputs = {manifest: data_digest}
     if args.config:
         inputs[args.config] = store.sha256_file(args.config)
     _write_run(args.out, "compare", argv, config.to_dict(), config.seed,

@@ -23,6 +23,7 @@ plus one headerless single-column CSV of samples per record.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -425,12 +426,25 @@ def save_dataset(records: list, out_dir: str) -> str:
     return manifest_path
 
 
-def _parse_samples(path: str, rec_id: str) -> np.ndarray:
+def _read(path: str, digest, name: str | None = None) -> str:
+    """The UTF-8 text of one dataset file, read once. When digest is given,
+    it is fed name (if any), then the sha256 hex digest of the bytes read."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if digest is not None:
+        if name is not None:
+            digest.update(name.encode())
+        digest.update(hashlib.sha256(raw).hexdigest().encode())
+    return raw.decode()
+
+
+def _parse_samples(base: str, rel_path: str, rec_id: str, digest) -> np.ndarray:
     try:
-        with open(path) as fh:
-            text = fh.read()
+        text = _read(os.path.join(base, rel_path), digest, rel_path)
     except OSError as exc:
         raise DataFormatError(f"record {rec_id}: cannot read sample file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"record {rec_id}: sample file is not UTF-8: {exc}") from exc
     tokens = text.split()
     try:
         samples = np.array(tokens, dtype=float)
@@ -452,14 +466,19 @@ def _is_float(tok: str) -> bool:
         return False
 
 
-def load_dataset(manifest_path: str) -> list:
-    """Read a manifest and every referenced sample file, validating both."""
+def load_dataset(manifest_path: str, digest=None) -> list:
+    """Read a manifest and every referenced sample file, validating both.
+
+    Each file is read once. When digest (a hashlib object) is given, it is
+    fed hashes of the very bytes that were parsed: the manifest's sha256 hex
+    digest, then each sample file's manifest path and sha256 hex digest, in
+    manifest order.
+    """
     try:
-        with open(manifest_path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(_read(manifest_path, digest))
     except OSError as exc:
         raise DataFormatError(f"cannot read manifest: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise DataFormatError("manifest must be a JSON array of record rows")
@@ -482,7 +501,7 @@ def load_dataset(manifest_path: str) -> list:
                 )
         if not isinstance(row["path"], str) or not row["path"]:
             raise DataFormatError(f"record {rec_id}: path must be a nonempty string")
-        samples = _parse_samples(os.path.join(base, row["path"]), rec_id)
+        samples = _parse_samples(base, row["path"], rec_id, digest)
         records.append(
             SignalRecord(
                 id=rec_id,

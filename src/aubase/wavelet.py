@@ -17,7 +17,10 @@ polyphase form built once per level. It agrees with the cascade to
 rounding (about 1e-15 of the largest coefficient), not bitwise.
 The decomposition depth can be chosen per signal by minimizing the Shannon
 entropy of the approximation; select_level needs every level's
-approximation, so it runs the cascade with the h channel alone, and dwt and
+approximation, so it runs the cascade with the h channel alone, and scores
+each level's block of approximations in one vectorized entropy pass that
+gives the same bits as shannon_entropy row by row (so the scan runs in numpy
+with the interpreter lock released, not in a Python loop per row). dwt and
 idwt keep the cascade as the reference transform. Feature extraction and
 level selection take one signal or a 2-D (records, samples) block of
 equal-length signals; a block row gives the same bits as that signal on
@@ -147,6 +150,27 @@ def shannon_entropy(coeffs: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def _block_entropies(rows: np.ndarray) -> np.ndarray:
+    """shannon_entropy of every row of a 2-D block, bit for bit, in one
+    vectorized pass.
+
+    The pass sums each row's terms in the same pairwise grouping as the
+    per-row function. That holds only when no share is zero: shannon_entropy
+    drops zero shares before it sums, which regroups the terms. So rows with
+    a zero share, or a zero total (which shannon_entropy refuses), go through
+    shannon_entropy itself.
+    """
+    p = rows * rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p /= p.sum(axis=1, keepdims=True)
+        lp = np.log(p)
+        lp *= p
+    ent = -lp.sum(axis=1)
+    for i in np.flatnonzero(~np.all(p > 0.0, axis=1)):
+        ent[i] = shannon_entropy(rows[i])
+    return ent
+
+
 def extract_features(x: np.ndarray, level: int) -> np.ndarray:
     """Approximation coefficients at the given level, zero-padding the tail
     to the next multiple of 2^level when the length requires it.
@@ -211,7 +235,7 @@ def select_level(x: np.ndarray, max_level: int = DEFAULT_MAX_LEVEL):
             for _ in range(lvl - 1):
                 approx = _kernels.analysis_level(approx, DB8_H)
         approx = _kernels.analysis_level(approx, DB8_H)
-        ent = np.array([shannon_entropy(a) for a in approx])
+        ent = _block_entropies(approx)
         deeper = ent <= best_entropy
         best_entropy[deeper] = ent[deeper]
         best_level[deeper] = lvl

@@ -5,7 +5,6 @@ import math
 import os
 import shutil
 import subprocess
-import sys
 
 import pytest
 
@@ -474,6 +473,57 @@ def test_generate_rejects_negative_seed_override(tmp_path, capsys, source):
     assert cli.main(["generate", *source, "--seed", "-1", "--out", str(out)]) == 1
     assert "seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def parent_dataset_digest(manifest):
+    """The dataset digest built by re-reading the files after the command:
+    the manifest's sha256 hex, then each sample file's path and sha256 hex."""
+    digest = hashlib.sha256()
+    with open(manifest, "rb") as fh:
+        raw = fh.read()
+    digest.update(hashlib.sha256(raw).hexdigest().encode())
+    for row in json.loads(raw):
+        with open(os.path.join(os.path.dirname(manifest), row["path"]), "rb") as fh:
+            digest.update(row["path"].encode())
+            digest.update(hashlib.sha256(fh.read()).hexdigest().encode())
+    return digest.hexdigest()
+
+
+def test_dataset_digest_covers_the_parsed_bytes(workflow, tmp_path, monkeypatch):
+    # each sample file is read once: its digest comes from the bytes parsed
+    data, bank = workflow[2], workflow[3]
+    manifest = os.path.join(data, "manifest.json")
+    want = parent_dataset_digest(manifest)
+    real = store.sha256_file
+
+    def no_sample_rereads(path):
+        if os.sep + "signals" + os.sep in os.path.abspath(path):
+            raise AssertionError(f"sample file read twice: {path}")
+        return real(path)
+
+    monkeypatch.setattr(store, "sha256_file", no_sample_rereads)
+    for argv, out in (
+        (["train", "--data", data, "--out", str(tmp_path / "b"), "--seed", "2"],
+         tmp_path / "b"),
+        (["detect", "--bank", bank, "--data", data, "--out", str(tmp_path / "r")],
+         tmp_path / "r"),
+    ):
+        assert cli.main(argv) == 0, argv
+        assert store.read_json(str(out / "run.json"))["inputs"][manifest] == want
+
+
+@pytest.mark.parametrize("victim", ["manifest", "sample"])
+def test_non_utf8_dataset_file_exits_one(workflow, tmp_path, capsys, victim):
+    data = tmp_path / "data"
+    shutil.copytree(workflow[2], data)
+    rows = store.read_json(str(data / "manifest.json"))
+    path = data / ("manifest.json" if victim == "manifest" else rows[0]["path"])
+    path.write_bytes(b"0.5\n\xff\xfe\n")
+    assert cli.main(["detect", "--bank", workflow[3], "--data", str(data),
+                     "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert ("manifest" if victim == "manifest" else rows[0]["id"]) in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_train_refuses_step_without_modeled_cluster(workflow, tmp_path, capsys, monkeypatch):

@@ -1,15 +1,20 @@
 """Two-phase training/detection mechanics on small scenarios."""
+import concurrent.futures
 import copy
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from aubase import fusion, pipeline, signals, store, wavelet
-from aubase.errors import InvalidArgumentError, LayoutError
-from conftest import small_scenario
+import aubase
+from aubase import fusion, pca, pipeline, signals, store, wavelet
+from aubase.errors import DegenerateDataError, InvalidArgumentError, LayoutError
 
 
 def step_rows(bank, records, step):
@@ -552,3 +557,133 @@ def test_pipeline_config_round_trip():
     cfg = pipeline.PipelineConfig(seed=4, theta=0.5, grid=(6, 5), level=7)
     back = pipeline.PipelineConfig.from_dict(cfg.to_dict())
     assert back == cfg
+
+
+# ---------------------------------------------------------------------------
+# the step pool: same bytes with any worker count, same errors
+# ---------------------------------------------------------------------------
+
+
+def pool_on(monkeypatch, workers):
+    """Send every call's steps to a pool of `workers` threads (1 runs inline)."""
+    monkeypatch.setattr(pipeline, "POOL_MIN_RECORDS", 0)
+    monkeypatch.setattr(pipeline, "STEP_WORKERS", workers)
+
+
+def four_step_records():
+    from conftest import small_scenario
+
+    cfg = dataclasses.replace(small_scenario(with_damage=True), n_transducers=4,
+                              n_repeats=4)
+    return signals.generate_dataset(cfg)
+
+
+@pytest.fixture(scope="module")
+def four_step_outputs():
+    """The four-step records, and their bank hash, canonical report text
+    and comparison summary with every step run inline."""
+    records = four_step_records()
+    with pytest.MonkeyPatch.context() as mp:
+        pool_on(mp, 1)
+        return records, step_pool_outputs(records)
+
+
+def step_pool_outputs(records):
+    baselines = [r for r in records if r.state == "baseline"]
+    bank = pipeline.train_phase1(baselines, pipeline.PipelineConfig(seed=3))
+    report = pipeline.detect(bank, records)
+    comparison = pipeline.compare_monolithic(records, pipeline.PipelineConfig(seed=3))
+    return (store.bank_hash(bank),
+            store.canonical_json(store.detection_report_to_dict(report)),
+            store.canonical_json(comparison.summary))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_step_pool_same_bytes_for_any_worker_count(four_step_outputs, monkeypatch,
+                                                   workers):
+    records, inline = four_step_outputs
+    pool_on(monkeypatch, workers)
+    assert step_pool_outputs(records) == inline
+
+
+def test_step_pool_stress_more_workers_than_cores(four_step_outputs, monkeypatch):
+    # 4 threads on at most 2 cores, switching every microsecond: a lost
+    # update between steps would move the bank, report or summary bytes
+    records, inline = four_step_outputs
+    pool_on(monkeypatch, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert step_pool_outputs(records) == inline
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def pooled_bank_hash() -> str:
+    """Bank hash of the small scenario fitted with the step pool on."""
+    from conftest import small_scenario
+
+    pipeline.POOL_MIN_RECORDS = 0
+    pipeline.STEP_WORKERS = 2
+    bank = pipeline.train_phase1(signals.generate_dataset(small_scenario()),
+                                 pipeline.PipelineConfig(seed=0))
+    return store.bank_hash(bank)
+
+
+def test_step_pool_same_bank_with_one_and_two_blas_threads(small_bank):
+    src = os.path.dirname(os.path.dirname(aubase.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import test_pipeline; print(test_pipeline.pooled_bank_hash())"],
+            env=env, cwd=tests, capture_output=True, text=True, check=True,
+            timeout=300,
+        )
+        assert out.stdout.strip() == store.bank_hash(small_bank)
+
+
+def test_step_pool_keeps_step_order(monkeypatch):
+    # later steps finish first; the results still come back in step order
+    pool_on(monkeypatch, 4)
+    done = []
+
+    def work(step):
+        time.sleep(0.05 * (4 - step))
+        done.append(step)
+        return step * 10
+
+    assert pipeline._map_steps(work, range(4), 0) == [0, 10, 20, 30]
+    assert done != [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_step_pool_raises_the_lowest_failing_step(small_records, monkeypatch, workers):
+    def degenerate(*args, **kwargs):
+        raise DegenerateDataError("no variance")
+
+    monkeypatch.setattr(pca, "fit", degenerate)
+    pool_on(monkeypatch, workers)
+    with pytest.raises(DegenerateDataError) as err:
+        pipeline.train_phase1(small_records, pipeline.PipelineConfig(seed=0))
+    assert str(err.value) == (
+        "step 1: no cluster of the baseline map has a usable PCA model"
+    )
+
+
+def test_one_experiment_detect_starts_no_pool(small_bank, damage_records, monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(pipeline, "STEP_WORKERS", 2)
+    one = experiment_records(damage_records, [fusion.build_step_layouts(
+        damage_records)[1].experiments[0].key])
+    report = pipeline.detect(small_bank, one)
+    assert len(report.results) == 1
+    # the patch is live: with the gate lowered, the same call reaches it
+    monkeypatch.setattr(pipeline, "POOL_MIN_RECORDS", 0)
+    with pytest.raises(AssertionError, match="thread pool"):
+        pipeline.detect(small_bank, one)

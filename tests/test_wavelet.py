@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import aubase
-from aubase import wavelet
+from aubase import _kernels, wavelet
 from aubase.errors import InvalidArgumentError
 from util import make_toneburst
 
@@ -177,9 +178,87 @@ def test_entropy_all_zero_rejected():
         wavelet.shannon_entropy(np.zeros(8))
 
 
+def loop_entropies(block):
+    return np.array([wavelet.shannon_entropy(row) for row in block])
+
+
+@pytest.mark.parametrize("length", [3, 5, 17, 128, 129, 8193])
+def test_block_entropies_bitwise_equal_per_row(length):
+    rng = np.random.default_rng(length)
+    for rows in (1, 3, 4, 64):
+        for scale in (1e-150, 1e-50, 1e-5, 1.0, 1e20, 1e100):
+            block = scale * rng.normal(size=(rows, length))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = wavelet._block_entropies(block)
+            assert got.tobytes() == loop_entropies(block).tobytes()
+
+
+def test_block_entropies_zero_share_takes_per_row_path(monkeypatch):
+    # dropping a zero share regroups the pairwise sum, so that row goes
+    # through shannon_entropy itself and still matches it bit for bit
+    block = np.random.default_rng(5).normal(size=(4, 300))
+    block[2, 17] = 0.0
+    want = loop_entropies(block)
+    seen = []
+    real = wavelet.shannon_entropy
+
+    def counted(row):
+        seen.append(row.copy())
+        return real(row)
+
+    monkeypatch.setattr(wavelet, "shannon_entropy", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = wavelet._block_entropies(block)
+    assert got.tobytes() == want.tobytes()
+    assert len(seen) == 1 and np.array_equal(seen[0], block[2])
+
+
+def test_block_entropies_all_zero_row_rejected():
+    block = np.random.default_rng(6).normal(size=(3, 64))
+    block[1] = 0.0
+    with pytest.raises(InvalidArgumentError, match="all-zero"):
+        wavelet._block_entropies(block)
+    with pytest.raises(InvalidArgumentError, match="all-zero"):
+        wavelet.select_level(block, max_level=3)
+
+
 # ---------------------------------------------------------------------------
 # level selection / features
 # ---------------------------------------------------------------------------
+
+
+def loop_select_level(x, max_level):
+    """The level scan one row and one level at a time: the same padded
+    cascade as select_level, scored with shannon_entropy per row."""
+    rows = np.atleast_2d(x)
+    n = rows.shape[1]
+    cap = min(max_level, int(math.floor(math.log2(n))))
+    levels = []
+    for row in rows:
+        best, best_ent = 1, float("inf")
+        for lvl in range(1, cap + 1):
+            block = 1 << lvl
+            approx = np.concatenate([row, np.zeros(-(-n // block) * block - n)])
+            for _ in range(lvl):
+                approx = _kernels.analysis_level(approx, wavelet.DB8_H)
+            ent = wavelet.shannon_entropy(approx)
+            if ent <= best_ent:  # ties toward deeper
+                best, best_ent = lvl, ent
+        levels.append(best)
+    return levels
+
+
+def test_select_level_matches_loop_oracle():
+    rng = np.random.default_rng(31)
+    for n in (100, 777, 4096):
+        decay = np.exp(-np.arange(n) / (0.05 * n))
+        block = np.vstack([rng.normal(size=n), decay * rng.normal(size=n),
+                           rng.normal(size=n) ** 3, 1e-120 * rng.normal(size=n)])
+        for max_level in (1, 4, 8):
+            got = wavelet.select_level(block, max_level=max_level)
+            assert got.tolist() == loop_select_level(block, max_level)
 
 
 def exhaustive_argmin(x, max_level):
@@ -219,8 +298,6 @@ def test_select_level_matches_exhaustive_scan_on_padded_lengths():
 
 
 def test_select_level_runs_one_cascade(monkeypatch):
-    from aubase import _kernels
-
     calls = []
     real = _kernels.analysis_level
 
