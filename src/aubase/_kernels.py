@@ -1,9 +1,10 @@
 """Numerical hot loops, vectorized in numpy.
 
 One DWT analysis level with a single filter, the level-L approximation in
-one pass through the composite filter, the synthesis step that inverts a
-level, and the pairwise squared distances behind every BMU search and
-density estimate. All kernels are deterministic: the same inputs give
+one pass through the composite filter over a buffer that already holds
+each row (its periodic extension is written in place), the synthesis step
+that inverts a level, and the pairwise squared distances behind every BMU
+search and density estimate. All kernels are deterministic: the same inputs give
 the same bits on every call.
 """
 
@@ -50,25 +51,29 @@ def composite_filter(h: np.ndarray, level: int) -> np.ndarray:
     return c
 
 
-def decimated_correlation(x: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """sum_j c[j] x[(s k + j) mod n] for k < n / s, along the last axis of a
-    (..., n) array whose length n is a multiple of s.
+def decimated_correlation(xp: np.ndarray, phases: np.ndarray, n: int) -> np.ndarray:
+    """sum_j c[j] x[(s k + j) mod n] for k < n / s, for each row x of
+    length n, a multiple of s.
 
     phases is the polyphase form of the filter c, shape (s, P):
-    phases[r, p] = c[p s + r], zero past the last tap. Each row, extended
-    periodically by s (P - 1) samples and reshaped to (n / s + P - 1, s),
-    is multiplied by phases in one matrix product; output k is the sum of
-    the P products on the diagonal starting at row k, added in the order
+    phases[r, p] = c[p s + r], zero past the last tap. xp is a C-contiguous
+    (..., n + s (P - 1)) buffer whose rows hold their n samples first; each
+    row's periodic extension is written into the rest of it in place, so no
+    row is copied. Each extended row, reshaped to (n / s + P - 1, s), is
+    multiplied by phases in one matrix product; output k is the sum of the
+    P products on the diagonal starting at row k, added in the order
     p = 0 .. P - 1. A block is a stack of same-shape products, one per row,
     so a row gives the same bits alone or in a block.
     """
     s, taps = phases.shape
-    n = x.shape[-1]
+    tail = s * (taps - 1)
     m = n // s
-    # the wrapped head is x tiled cyclically, which also covers n < s (P - 1)
-    head = np.take(x, np.arange(s * (taps - 1)) % n, axis=-1)
-    xp = np.concatenate([x, head], axis=-1).reshape(x.shape[:-1] + (m + taps - 1, s))
-    y = xp @ phases
+    if n >= tail:
+        xp[..., n:] = xp[..., :tail]
+    else:
+        # the wrapped head is the row tiled cyclically
+        xp[..., n:] = np.take(xp[..., :n], np.arange(tail) % n, axis=-1)
+    y = xp.reshape(xp.shape[:-1] + (m + taps - 1, s)) @ phases
     out = y[..., :m, 0].copy()
     for p in range(1, taps):
         out += y[..., p:p + m, p]
@@ -96,14 +101,16 @@ def row_sqnorms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def pairwise_sqdist(points: np.ndarray, refs: np.ndarray, points_sq=None) -> np.ndarray:
+def pairwise_sqdist(points: np.ndarray, refs: np.ndarray, points_sq=None,
+                    refs_sq=None) -> np.ndarray:
     """Squared distances, shape (len(points), len(refs)). Clipped at 0.
 
-    points_sq, when given, is row_sqnorms(points), computed once by a caller
-    that measures the same points against changing refs.
+    points_sq and refs_sq, when given, are row_sqnorms(points) and
+    row_sqnorms(refs), computed once by a caller that measures changing
+    points against the same refs, or the reverse.
     """
     p2 = (row_sqnorms(points) if points_sq is None else points_sq)[:, None]
-    r2 = row_sqnorms(refs)[None, :]
+    r2 = (row_sqnorms(refs) if refs_sq is None else refs_sq)[None, :]
     d2 = p2 + r2 - 2.0 * (points @ refs.T)
     np.clip(d2, 0.0, None, out=d2)
     return d2

@@ -28,6 +28,11 @@ from damage classes.
 The validation fraction never touches any model parameter or threshold; it
 only provides reference SPE vectors and calibration statistics.
 
+Each step's records are copied once, block by block, into one feature buffer
+that also holds their zero pad and periodic extension (see
+wavelet.extract_features), and a scoring pass takes each map's prototype
+norms once for all of its rows.
+
 The steps share nothing until the SPE vectors are assembled, so their work
 (level choice, features, map fit and cluster PCA in training; features in
 detection) runs on a thread pool, one thread per usable core, when every
@@ -45,7 +50,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import ds2l, pca, som, wavelet
+from . import _kernels, ds2l, pca, som, wavelet
 from .errors import (
     AT_LEAST_ONE,
     NON_NEGATIVE,
@@ -58,12 +63,14 @@ from .errors import (
 from .fusion import FeatureMatrix, build_step_layouts
 
 QUANTILE = 0.95
-# Records per block for level selection and features. Stacking amortizes
-# the per-call overhead over the rows: the level-8 features of the 2,160
-# reference baselines take 0.20 s one record at a time, 0.12 s in blocks of
-# 4 and 0.13 s in blocks of 16 or 64 (one BLAS thread), so larger blocks
-# only raise the peak memory of a detect call. The step pool below works
-# on whole steps, one block at a time per thread.
+# Records per block for level selection and features. Blocks amortize the
+# per-call overhead over the rows, and a small block keeps the feature
+# buffer that each record is copied into in cache: the level-8 features of
+# the 2,160 reference baselines take 0.23 s one record at a time, 0.13-0.16 s
+# in blocks of 4, 0.16-0.17 s in blocks of 16 and 0.19-0.21 s in blocks of
+# 64 (one BLAS thread; medians of five in two sets on a 2-core x86-64
+# host). The step pool below works on whole steps, one block at a time per
+# thread.
 BLOCK_ROWS = 4
 # Threads for the per-step work: one per core this process may run on.
 STEP_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -195,11 +202,10 @@ def _split_indices(n: int, train_frac: float, seed: int):
     return sorted(order[:n_train].tolist()), sorted(order[n_train:].tolist())
 
 
-def _blocks(layout, by_id: dict, experiments):
-    """Yield (rows, samples) blocks of at most BLOCK_ROWS records: the
-    records of the given experiments of the layout, experiment-major, each
-    experiment's channels in layout.sensor_ids order. The records of a step
-    must share one 1-D sample length."""
+def _step_samples(layout, by_id: dict, experiments) -> list:
+    """The sample arrays of the given experiments of the layout,
+    experiment-major, each experiment's channels in layout.sensor_ids
+    order. The records of a step must share one 1-D sample length."""
     samples = [by_id[slot.record_ids[s]].samples
                for slot in experiments for s in layout.sensor_ids]
     shapes = sorted({np.shape(x) for x in samples})
@@ -208,6 +214,13 @@ def _blocks(layout, by_id: dict, experiments):
             f"step {layout.actuator_id}: records must share one 1-D sample "
             f"length; found sample shapes {shapes}"
         )
+    return samples
+
+
+def _blocks(layout, by_id: dict, experiments):
+    """Yield (rows, samples) blocks of at most BLOCK_ROWS records: the
+    _step_samples of the experiments, stacked."""
+    samples = _step_samples(layout, by_id, experiments)
     for start in range(0, len(samples), BLOCK_ROWS):
         yield np.stack(samples[start:start + BLOCK_ROWS])
 
@@ -240,11 +253,21 @@ def _modal_level(blocks, config: PipelineConfig) -> int:
 def _step_matrix(layout, by_id: dict, level: int) -> FeatureMatrix:
     """The step's unfolded features: one row per experiment of the layout,
     holding its channels' level-`level` approximation coefficients side by
-    side in layout.sensor_ids order. by_id maps record id -> record."""
-    features = np.vstack([
-        wavelet.extract_features(block, level)
-        for block in _blocks(layout, by_id, layout.experiments)
-    ])
+    side in layout.sensor_ids order. by_id maps record id -> record.
+
+    Each block of BLOCK_ROWS records is written, one record per row, into
+    one feature buffer that also holds the rows' zero pad and periodic
+    extension, so a record is copied once on its way to the product."""
+    samples = _step_samples(layout, by_id, layout.experiments)
+    n = np.shape(samples[0])[0]
+    buf = wavelet.feature_buffer(min(BLOCK_ROWS, len(samples)), n, level)
+    blocks = []
+    for start in range(0, len(samples), BLOCK_ROWS):
+        block = samples[start:start + BLOCK_ROWS]
+        for row, x in zip(buf, block):
+            row[:n] = x
+        blocks.append(wavelet.extract_features(buf[:len(block)], level, n))
+    features = np.vstack(blocks)
     channels = len(layout.sensor_ids)
     width = features.shape[1]
     return FeatureMatrix(
@@ -411,10 +434,11 @@ def select_baseline(bank: BaselineBank, step: int, feature_row) -> SelectionResu
     """
     if step not in bank.steps:
         raise InvalidArgumentError(f"bank has no actuation step {step}")
-    return _score_row(bank.steps[step], feature_row)[0]
+    sm = bank.steps[step]
+    return _score_row(sm, feature_row, _kernels.row_sqnorms(sm.map.weights))[0]
 
 
-def _score_row(sm: StepModel, feature_row):
+def _score_row(sm: StepModel, feature_row, weights_sq: np.ndarray):
     """(selection, scored cluster, SPE, SPE / that cluster's alarm threshold).
 
     Every row the pipeline scores goes through here. A novel row is still
@@ -422,6 +446,7 @@ def _score_row(sm: StepModel, feature_row):
     the modeled cluster with the nearest mode prototype. Rows are scored one
     at a time on purpose: the batched BMU distance, q.e. and SPE forms round
     differently in the last bits, which would move bank and report bytes.
+    weights_sq is row_sqnorms(sm.map.weights), taken once per scoring pass.
     """
     row = np.asarray(feature_row, dtype=float).ravel()
     if row.shape[0] != sm.feature_width:
@@ -429,7 +454,7 @@ def _score_row(sm: StepModel, feature_row):
             f"feature row has {row.shape[0]} columns, step {sm.actuator_id} "
             f"expects {sm.feature_width}"
         )
-    unit = som.bmu(sm.map, row)
+    unit = som.bmu(sm.map, row, weights_sq)
     qe = float(np.linalg.norm(row - sm.map.weights[unit]))
     cid = int(sm.partition.unit_label[unit])
     modeled = cid >= 0 and sm.clusters[cid].model is not None
@@ -456,11 +481,12 @@ def _score_row(sm: StepModel, feature_row):
 def _score_experiments(bank: BaselineBank, slots, rows: dict) -> list:
     """[(per-step cells, SpeVector)] for each experiment slot, where rows
     maps each bank step to the unfolded rows aligned with slots."""
+    weights_sq = {s: _kernels.row_sqnorms(bank.steps[s].map.weights) for s in bank.step_ids}
     scored = []
     for i, slot in enumerate(slots):
         cells, novelty = {}, []
         for s in bank.step_ids:
-            sel, cid, spe_val, norm = _score_row(bank.steps[s], rows[s][i])
+            sel, cid, spe_val, norm = _score_row(bank.steps[s], rows[s][i], weights_sq[s])
             novelty.append(sel.novel)
             cells[s] = {
                 "selected": "novel" if sel.novel else sel.cluster,
@@ -714,11 +740,12 @@ def compare_monolithic(records, config: PipelineConfig | None = None) -> Compari
         mono_jm = pca.spe_control_limit(mono, alpha=1.0 - QUANTILE)
 
         fm_dmg = _step_matrix(dmg_layouts[s], dmg_by_id, sm.level)
+        weights_sq = _kernels.row_sqnorms(sm.map.weights)
 
         prop_scores, mono_scores, labels = [], [], []
         for values, label in ((fm_val.values, 0), (fm_dmg.values, 1)):
             for row in values:
-                sel, _, _, norm = _score_row(sm, row)
+                sel, _, _, norm = _score_row(sm, row, weights_sq)
                 prop_scores.append(math.inf if sel.novel else norm)
                 mono_scores.append(float(pca.spe(mono, row)))
                 labels.append(label)

@@ -14,7 +14,11 @@ and downsampling by 2 are one correlation with the level-L composite filter
 and downsampling by 2^L, so extract_features makes that one pass, in
 polyphase form: one small matrix product per record, with the filter's
 polyphase form built once per level. It agrees with the cascade to
-rounding (about 1e-15 of the largest coefficient), not bitwise.
+rounding (about 1e-15 of the largest coefficient), not bitwise. Each
+record is copied once, into a row of a feature buffer (feature_buffer)
+that holds the record, its zero pad and its periodic extension, and the
+product reads a reshaped view of that row; a caller that features many
+records fills one buffer block by block and passes it in.
 The decomposition depth can be chosen per signal by minimizing the Shannon
 entropy of the approximation; select_level needs every level's
 approximation, so it runs the cascade with the h channel alone, and scores
@@ -171,7 +175,7 @@ def _block_entropies(rows: np.ndarray) -> np.ndarray:
     return ent
 
 
-def extract_features(x: np.ndarray, level: int) -> np.ndarray:
+def extract_features(x: np.ndarray, level: int, n: int | None = None) -> np.ndarray:
     """Approximation coefficients at the given level, zero-padding the tail
     to the next multiple of 2^level when the length requires it.
 
@@ -179,13 +183,38 @@ def extract_features(x: np.ndarray, level: int) -> np.ndarray:
     composite filter, which equals the level-by-level cascade of dwt up to
     rounding. x is one signal or a (records, samples) block; the result has
     one row of coefficients per record.
+
+    A caller that features many n-sample records can pass n and, as x, a
+    feature_buffer(rows, n, level), or its first rows, holding one record
+    in the first n samples of each row. The rows' zero pad and periodic
+    extension are then written into the rest of the buffer in place, so
+    each record is copied once, into the buffer.
     """
-    x = _check_signal(x)
+    if n is None:
+        x = _check_signal(x)
+        n = x.shape[-1]
+        buf = feature_buffer(1 if x.ndim == 1 else x.shape[0], n, level)
+        buf[:, :n] = x
+    else:
+        buf = x
+        _check_signal(buf[:, :n])
+    phases = _polyphase_filter(level)
+    block, taps = phases.shape
+    npad = buf.shape[1] - block * (taps - 1)
+    buf[:, n:npad] = 0.0
+    out = _kernels.decimated_correlation(buf, phases, npad)
+    return out[0] if x.ndim == 1 else out
+
+
+def feature_buffer(rows: int, n: int, level: int) -> np.ndarray:
+    """An uninitialized (rows, npad + 2^level (P - 1)) array for
+    extract_features(buffer, level, n): npad is n rounded up to a multiple
+    of 2^level and P the taps per phase of the level's filter, so each row
+    has room for one record, its zero pad and its periodic extension."""
     if level < 1:
         raise InvalidArgumentError(f"level must be >= 1, got {level}")
-    block = 1 << level
-    padded = _zero_pad(x, -(-x.shape[-1] // block) * block)
-    return _kernels.decimated_correlation(padded, _polyphase_filter(level))
+    block, taps = _polyphase_filter(level).shape
+    return np.empty((rows, -(-n // block) * block + block * (taps - 1)))
 
 
 @functools.lru_cache(maxsize=16)

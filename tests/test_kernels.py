@@ -82,7 +82,10 @@ def test_decimated_correlation_matches_modular_loop():
         phases[:taps] = c
         phases = phases.reshape(p, s).T.copy()
         x = rng.normal(size=(3, n))
-        got = _kernels.decimated_correlation(x, phases)
+        xp = np.empty((3, n + s * (p - 1)))
+        xp[:, :n] = x
+        got = _kernels.decimated_correlation(xp, phases, n)
+        assert np.array_equal(xp[:, :n], x)
         idx = (s * np.arange(n // s)[:, None] + np.arange(taps)[None, :]) % n
         want = x[:, idx] @ c
         assert got.shape == (3, n // s)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import aubase
-from aubase import fusion, pca, pipeline, signals, store, wavelet
+from aubase import _kernels, fusion, pca, pipeline, signals, som, store, wavelet
 from aubase.errors import DegenerateDataError, InvalidArgumentError, LayoutError
 
 
@@ -140,6 +140,68 @@ def test_feature_blocks_reject_non_1d_samples(small_records):
         pipeline._step_matrix(layout, by_id, 3)
 
 
+def two_copy_features(x, level):
+    """The level-`level` features as the two-copy form computed them: the
+    zero-padded record, then its periodic extension, each a new array,
+    through the same product and fixed-order diagonal sum."""
+    phases = wavelet._polyphase_filter(level)
+    s, taps = phases.shape
+    x = np.concatenate([x, np.zeros(-x.size % s)])
+    n, m = x.size, x.size // s
+    head = np.take(x, np.arange(s * (taps - 1)) % n)
+    y = np.concatenate([x, head]).reshape(m + taps - 1, s) @ phases
+    out = y[:m, 0].copy()
+    for p in range(1, taps):
+        out += y[p:p + m, p]
+    return out
+
+
+def short_step(small_records, n_records, n_samples):
+    """(layout, by_id, picked records) for the first n_records experiments
+    of the one-channel step 1, every record cut to n_samples."""
+    full = fusion.build_step_layouts(small_records)[1]
+    layout = dataclasses.replace(full, experiments=full.experiments[:n_records])
+    by_id = {r.id: dataclasses.replace(r, samples=r.samples[:n_samples].copy())
+             for r in small_records}
+    return layout, by_id, [by_id[slot.record_ids[2]] for slot in layout.experiments]
+
+
+@pytest.mark.parametrize("n_samples", [3, 5, 17, 777])
+def test_step_matrix_one_copy_bitwise_equal(small_records, n_samples):
+    # 6 records: a full block of BLOCK_ROWS and a shorter last one. At every
+    # length here some level pads the record to fewer samples than its
+    # periodic extension, which then tiles the padded record
+    assert pipeline.BLOCK_ROWS == 4
+    layout, by_id, picked = short_step(small_records, 6, n_samples)
+    tiled = 0
+    for level in range(1, 9):
+        s, taps = wavelet._polyphase_filter(level).shape
+        tiled += -(-n_samples // s) * s < s * (taps - 1)
+        fm = pipeline._step_matrix(layout, by_id, level)
+        assert fm.values.shape == (6, -(-n_samples // s))
+        for row, rec in zip(fm.values, picked):
+            assert row.tobytes() == wavelet.extract_features(rec.samples, level).tobytes()
+            assert row.tobytes() == two_copy_features(rec.samples, level).tobytes()
+    assert tiled > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_matrix_refuses_non_finite_mid_block(small_records, bad):
+    # the sixth record sits in the middle of the second block
+    layout, by_id, picked = short_step(small_records, 9, 777)
+    picked[5].samples[100] = bad
+    with pytest.raises(InvalidArgumentError, match="signal contains non-finite samples"):
+        pipeline._step_matrix(layout, by_id, 3)
+
+
+def test_step_matrix_mixed_lengths_name_both_shapes(small_records):
+    layout, by_id, picked = short_step(small_records, 6, 17)
+    picked[4].samples = picked[4].samples[:5]
+    with pytest.raises(InvalidArgumentError) as err:
+        pipeline._step_matrix(layout, by_id, 2)
+    assert "(5,)" in str(err.value) and "(17,)" in str(err.value)
+
+
 def test_record_order_changes_neither_bank_nor_report(small_records, small_bank,
                                                      damage_records, detect_report):
     order = np.random.default_rng(5).permutation(len(small_records))
@@ -258,6 +320,69 @@ def test_select_baseline_validation(small_bank):
         pipeline.select_baseline(small_bank, step, np.zeros(width + 1))
     with pytest.raises(InvalidArgumentError):
         pipeline.select_baseline(small_bank, 99, np.zeros(width))
+
+
+def check_scored_row(bank, s, row, sel, cid, spe_val):
+    """One row's (selection, scored cluster, SPE) from a scoring pass with
+    the map norms taken once, against the public one-row path, the BMU
+    search that takes the norms itself, and the scored cluster's SPE."""
+    sm = bank.steps[s]
+    assert sel == pipeline.select_baseline(bank, s, row)
+    assert sel.bmu == som.bmu(sm.map, row)
+    assert sel.qe == float(np.linalg.norm(row - sm.map.weights[sel.bmu]))
+    assert spe_val == float(pca.spe(sm.clusters[cid].model, row))
+
+
+def test_score_pass_norms_match_select_baseline(small_bank, small_records):
+    # the scoring pass takes each map's norms once; every row must keep the
+    # selection, BMU, q.e. and SPE bits of the one-row public path
+    keys = small_bank.train_keys[:6] + small_bank.val_keys[:4]
+    rows = {s: step_rows(small_bank, small_records, s) for s in small_bank.step_ids}
+    slots = [slot for slot in fusion.build_step_layouts(small_records)[1].experiments
+             if slot.key in keys]
+    aligned = {s: [rows[s][slot.key] for slot in slots] for s in small_bank.step_ids}
+    scored = pipeline._score_experiments(small_bank, slots, aligned)
+    assert len(scored) == len(keys)
+    for (cells, _), slot in zip(scored, slots):
+        for s in small_bank.step_ids:
+            sm, row, cell = small_bank.steps[s], rows[s][slot.key], cells[s]
+            sel = pipeline._score_row(sm, row, _kernels.row_sqnorms(sm.map.weights))[0]
+            assert cell["selected"] == ("novel" if sel.novel else sel.cluster)
+            assert cell["qe"] == sel.qe
+            check_scored_row(small_bank, s, row, sel, cell["scored_cluster"], cell["spe"])
+
+
+def tie_bank(small_bank, ulps):
+    """(bank, step, row, low, high): a copy of small_bank whose first step
+    map has unit low < high set to unit high's prototype, moved by ulps
+    units in the last place in one coordinate; row is unit high's
+    prototype. One of the two is the first cluster's mode."""
+    bank = copy.deepcopy(small_bank)
+    step = bank.step_ids[0]
+    w = bank.steps[step].map.weights
+    high = int(bank.steps[step].partition.modes[0])
+    low, high = sorted((high, 0 if high > 0 else 1))
+    w[low] = w[high]
+    for _ in range(ulps):
+        w[low, 0] = np.nextafter(w[low, 0], np.inf)
+    return bank, step, w[high].copy(), low, high
+
+
+@pytest.mark.parametrize("ulps", [0, 1, 4])
+def test_score_pass_ties_keep_their_bits(small_bank, ulps):
+    # duplicated prototypes tie exactly and the lowest unit wins; prototypes
+    # a few ulps apart may round to one distance in the p2 + r2 - 2 p.r
+    # form, but the pass with the norms taken once rounds them alike
+    bank, step, row, low, high = tie_bank(small_bank, ulps)
+    sm = bank.steps[step]
+    d2 = _kernels.pairwise_sqdist(row[None], sm.map.weights)[0]
+    if ulps == 0:
+        assert d2[low] == d2[high] == d2.min()
+    sel, cid, spe_val, _ = pipeline._score_row(sm, row, _kernels.row_sqnorms(sm.map.weights))
+    assert sel.bmu == (low if d2[low] <= d2[high] else high)
+    check_scored_row(bank, step, row, sel, cid, spe_val)
+    exact = np.sum((sm.map.weights - row) ** 2, axis=1)
+    assert exact[sel.bmu] <= exact.min() + 1e-12 * float(row @ row)
 
 
 # ---------------------------------------------------------------------------
