@@ -112,5 +112,5 @@ def pairwise_sqdist(points: np.ndarray, refs: np.ndarray, points_sq=None,
     p2 = (row_sqnorms(points) if points_sq is None else points_sq)[:, None]
     r2 = (row_sqnorms(refs) if refs_sq is None else refs_sq)[None, :]
     d2 = p2 + r2 - 2.0 * (points @ refs.T)
-    np.clip(d2, 0.0, None, out=d2)
+    np.maximum(d2, 0.0, out=d2)
     return d2

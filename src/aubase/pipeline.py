@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class PipelineConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["grid"] = list(self.grid) if self.grid else None
         d["second_grid"] = list(self.second_grid) if self.second_grid else None
         return d
@@ -290,7 +290,7 @@ def _fit_map(grid, data: np.ndarray, config: PipelineConfig, seed):
         lambda_start=config.lambda_start,
         lambda_end=config.lambda_end,
     )
-    model, _ = som.train(model, data, epochs=config.epochs)
+    model = som.train(model, data, epochs=config.epochs)
     enriched = ds2l.enrich(model, data, rho=config.rho)
     return enriched, ds2l.cluster(enriched, theta=config.theta)
 
@@ -623,9 +623,8 @@ def _state_tag(state: str, severity: float) -> str:
 def _second_level(bank: BaselineBank, results, config: PipelineConfig) -> None:
     """Cluster log-scaled SPE vectors (batch plus validation references)."""
     reference = bank.validation
-    batch_z = [np.log1p(np.asarray(r.spe_vector.spe)) for r in results]
-    ref_z = [np.log1p(np.asarray(v.spe)) for v in reference]
-    z = np.vstack(ref_z + batch_z) if (ref_z or batch_z) else np.empty((0, 0))
+    rows = [v.spe for v in reference] + [r.spe_vector.spe for r in results]
+    z = np.log1p(np.array(rows, dtype=float))
     if z.shape[0] < 4:
         for r in results:
             if r.novelty:

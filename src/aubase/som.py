@@ -130,11 +130,12 @@ def init_som(
     )
 
 
-def _kernel_matrix(lattice_d2: np.ndarray, kernel_form: str, lam: float) -> np.ndarray:
-    """Neighbourhood kernel at width lam from squared lattice distances."""
+def _kernel_matrix(neg_lattice_d2: np.ndarray, kernel_form: str, lam: float) -> np.ndarray:
+    """Neighbourhood kernel at width lam from negated squared lattice
+    distances."""
     if kernel_form == "normalized":
-        return np.exp(-lattice_d2 / (lam * lam)) / lam
-    return np.exp(-lattice_d2 / (2.0 * lam * lam))
+        return np.exp(neg_lattice_d2 / (lam * lam)) / lam
+    return np.exp(neg_lattice_d2 / (2.0 * lam * lam))
 
 
 def bmu_indices(model: SomModel, data: np.ndarray, weights_sq=None) -> np.ndarray:
@@ -156,17 +157,17 @@ def lambda_schedule(model: SomModel, epoch: int, epochs: int) -> float:
     return float(model.lambda_start * ratio ** (epoch / epochs))
 
 
-def train(model: SomModel, data: np.ndarray, epochs: int = DEFAULT_EPOCHS):
-    """Batch-train a copy of the model; returns (model, quantization trace).
+def train(model: SomModel, data: np.ndarray, epochs: int = DEFAULT_EPOCHS) -> SomModel:
+    """Batch-train a copy of the model and return it.
 
     Each epoch assigns every datum to its BMU and replaces prototype j with
     the kernel-weighted average sum_n K(j, bmu_n) x_n / sum_n K(j, bmu_n).
     Prototypes whose accumulated kernel mass underflows to zero keep their
-    previous value. The trace holds the quantization error after init and
-    after every epoch, read off the distances each BMU assignment computes.
-    The lattice distances and data row norms are computed once per fit; an
-    epoch computes its kernel, the distances to the current prototypes and
-    the update, written into one working copy of the weights.
+    previous value. The negated squared lattice distances and the data row
+    norms are computed once per fit; an epoch computes only its kernel, the
+    distances to the current prototypes, the BMUs and the update, written in
+    place into one working copy of the weights. No quantization trace is
+    kept: nothing is measured that the update does not use.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != model.dim:
@@ -175,22 +176,19 @@ def train(model: SomModel, data: np.ndarray, epochs: int = DEFAULT_EPOCHS):
         raise InvalidArgumentError("cannot train on empty data")
     if epochs < 1:
         raise InvalidArgumentError("epochs must be >= 1")
-    lattice_d2 = _kernels.pairwise_sqdist(model.unit_pos, model.unit_pos)
-    data_sq = _kernels.row_sqnorms(data)
+    neg_lattice_d2 = -_kernels.pairwise_sqdist(model.unit_pos, model.unit_pos)
+    data_sq = _kernels.row_sqnorms(data)[:, None]
     weights = model.weights.copy()
-    trace = []
-    for epoch in range(epochs + 1):
-        d2 = _kernels.pairwise_sqdist(data, weights, data_sq)
-        trace.append(float(np.sqrt(d2.min(axis=1)).mean()))
-        if epoch == epochs:
-            break
+    for epoch in range(epochs):
         lam = lambda_schedule(model, epoch, epochs)
-        kb = _kernel_matrix(lattice_d2, model.kernel_form, lam)[:, np.argmin(d2, axis=1)]
-        denom = kb.sum(axis=1)
-        numer = kb @ data
-        mask = denom > 0.0
-        weights[mask] = numer[mask] / denom[mask, None]
-    return replace(model, weights=weights, trained_epochs=model.trained_epochs + epochs), trace
+        kmat = _kernel_matrix(neg_lattice_d2, model.kernel_form, lam)
+        # pairwise_sqdist(data, weights), spelled out for the per-fit norms
+        d2 = data_sq + _kernels.row_sqnorms(weights)[None, :] - 2.0 * (data @ weights.T)
+        np.maximum(d2, 0.0, out=d2)
+        kb = kmat[:, d2.argmin(axis=1)]
+        denom = kb.sum(axis=1)[:, None]
+        np.divide(kb @ data, denom, out=weights, where=denom > 0.0)
+    return replace(model, weights=weights, trained_epochs=model.trained_epochs + epochs)
 
 
 def u_matrix(model: SomModel) -> np.ndarray:

@@ -191,7 +191,7 @@ def test_criterion_3_density_clustering_blobs(capsys):
         pts = np.vstack([rng.normal(c, 1.0, size=(200, 2)) for c in centers])
         labels = [i for i in range(len(centers)) for _ in range(200)]
         model = som.init_som((10, 10), pts, mode="linear")
-        trained, _ = som.train(model, pts, epochs=30)
+        trained = som.train(model, pts, epochs=30)
         part = ds2l.cluster(ds2l.enrich(trained, pts))
         return part.n_clusters, best_agreement(labels, part.datum_label.tolist())
 

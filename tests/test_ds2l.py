@@ -269,7 +269,7 @@ def blobs(centers, n_per, sigma, seed):
 def test_cluster_three_separated_blobs():
     data, labels = blobs([(0, 0), (6, 0), (0, 6)], 50, 0.08, seed=6)
     model = som.init_som((8, 8), data, mode="linear")
-    trained, _ = som.train(model, data, epochs=30)
+    trained = som.train(model, data, epochs=30)
     part = ds2l.cluster(ds2l.enrich(trained, data))
     assert part.n_clusters == 3
     assert best_agreement(labels, part.datum_label.tolist()) >= 0.95
@@ -278,7 +278,7 @@ def test_cluster_three_separated_blobs():
 def test_cluster_single_blob_is_one_cluster():
     data, _ = blobs([(1, 1)], 120, 0.3, seed=7)
     model = som.init_som((6, 6), data, mode="linear")
-    trained, _ = som.train(model, data, epochs=30)
+    trained = som.train(model, data, epochs=30)
     part = ds2l.cluster(ds2l.enrich(trained, data))
     assert part.n_clusters == 1
     assert np.all(part.datum_label == 0)
@@ -287,7 +287,7 @@ def test_cluster_single_blob_is_one_cluster():
 def test_cluster_two_identical_points():
     data = np.array([[1.0, 1.0], [1.0, 1.0]])
     model = som.init_som((2, 2), data, mode="random", seed=8)
-    trained, _ = som.train(model, data, epochs=5)
+    trained = som.train(model, data, epochs=5)
     part = ds2l.cluster(ds2l.enrich(trained, data))
     assert part.n_clusters == 1
     assert np.array_equal(part.datum_label, [0, 0])
@@ -296,7 +296,7 @@ def test_cluster_two_identical_points():
 def test_cluster_labels_and_modes_consistent():
     data, _ = blobs([(0, 0), (8, 8)], 40, 0.1, seed=9)
     model = som.init_som((6, 6), data, mode="linear")
-    trained, _ = som.train(model, data, epochs=25)
+    trained = som.train(model, data, epochs=25)
     e = ds2l.enrich(trained, data)
     part = ds2l.cluster(e)
     assert part.n_clusters == 2
@@ -320,7 +320,7 @@ def test_cluster_labels_and_modes_consistent():
 def test_cluster_deterministic():
     data, _ = blobs([(0, 0), (5, 5)], 30, 0.2, seed=10)
     model = som.init_som((5, 5), data, mode="linear")
-    trained, _ = som.train(model, data, epochs=20)
+    trained = som.train(model, data, epochs=20)
     p1 = ds2l.cluster(ds2l.enrich(trained, data))
     p2 = ds2l.cluster(ds2l.enrich(trained, data))
     assert p1.n_clusters == p2.n_clusters
@@ -442,7 +442,7 @@ def test_cluster_matches_v_matrix_reference():
         data = np.vstack([rng.normal(c, rng.uniform(0.3, 1.5), size=(40, 2)) for c in centers])
         for grid in ((4, 4), (7, 5), (10, 10)):
             model = som.init_som(grid, data, mode="random", seed=seed)
-            trained, _ = som.train(model, data, epochs=10)
+            trained = som.train(model, data, epochs=10)
             e = ds2l.enrich(trained, data)
             for theta in (0.45, 0.9):
                 part = ds2l.cluster(e, theta)

@@ -61,6 +61,37 @@ def test_pairwise_sqdist_matches_bruteforce():
             assert abs(d2[i, j] - want) < 1e-9
 
 
+def clip_sqdist(points, refs, points_sq, refs_sq):
+    """pairwise_sqdist in its np.clip form."""
+    d2 = points_sq[:, None] + refs_sq[None, :] - 2.0 * (points @ refs.T)
+    np.clip(d2, 0.0, None, out=d2)
+    return d2
+
+
+def test_pairwise_sqdist_clamp_matches_clip_bitwise():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(40, 5)) * np.array([1.0, 10.0, 0.1, 3.0, 100.0])
+    # duplicated rows cancel exactly or leave a rounding residue either side
+    # of 0; zero and -0.0 rows, and a NaN row
+    zero = np.zeros((2, 5))
+    zero[1] = -0.0
+    nan_row = np.full((1, 5), 1.0)
+    nan_row[0, 2] = np.nan
+    points = np.vstack([x, x[:10], zero, nan_row])
+    refs = np.vstack([x, zero])
+    p2, r2 = _kernels.row_sqnorms(points), _kernels.row_sqnorms(refs)
+    raw = p2[:, None] + r2[None, :] - 2.0 * (points @ refs.T)
+    assert (raw < 0.0).any() and (raw == 0.0).any() and np.isnan(raw).any()
+    want = clip_sqdist(points, refs, p2, r2)
+    assert _kernels.pairwise_sqdist(points, refs).tobytes() == want.tobytes()
+    # norms passed as -0.0 make a raw -0.0 distance between the zero rows
+    p2[-3:-1], r2[-2:] = -0.0, -0.0
+    raw = p2[:, None] + r2[None, :] - 2.0 * (points @ refs.T)
+    assert np.signbit(raw[-3:-1, -2:]).all()
+    got = _kernels.pairwise_sqdist(points, refs, points_sq=p2, refs_sq=r2)
+    assert got.tobytes() == clip_sqdist(points, refs, p2, r2).tobytes()
+
+
 def test_composite_filter_identities():
     # the level-L composite of an orthonormal scaling filter keeps unit
     # energy and sums to 2^(L/2): the DC gain of L stages of sqrt(2)

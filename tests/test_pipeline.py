@@ -2,6 +2,7 @@
 import concurrent.futures
 import copy
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -682,6 +683,42 @@ def test_pipeline_config_round_trip():
     cfg = pipeline.PipelineConfig(seed=4, theta=0.5, grid=(6, 5), level=7)
     back = pipeline.PipelineConfig.from_dict(cfg.to_dict())
     assert back == cfg
+
+
+@pytest.mark.parametrize("cfg", [
+    pipeline.PipelineConfig(),
+    pipeline.PipelineConfig(
+        seed=4, theta=0.5, grid=(6, 5), second_grid=(3, 2), level=7,
+        lambda_start=2.5, rho=0.3, kernel_form="gaussian", init="random",
+        labeled_decisions=False,
+    ),
+])
+def test_pipeline_config_to_dict_matches_asdict_form(cfg):
+    want = dataclasses.asdict(cfg)
+    want["grid"] = list(cfg.grid) if cfg.grid else None
+    want["second_grid"] = list(cfg.second_grid) if cfg.second_grid else None
+    got = cfg.to_dict()
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)  # same keys in the same order
+
+
+def test_second_level_log1p_matches_per_row_form(small_bank, damage_records, monkeypatch):
+    # the stacked log1p gives the second map the bits of one log1p per vector
+    seen = []
+    fit_map = pipeline._fit_map
+
+    def spy(grid, data, config, seed):
+        seen.append(data.copy())
+        return fit_map(grid, data, config, seed)
+
+    monkeypatch.setattr(pipeline, "_fit_map", spy)
+    report = pipeline.detect(small_bank, damage_records)
+    want = np.vstack(
+        [np.log1p(np.asarray(v.spe)) for v in small_bank.validation]
+        + [np.log1p(np.asarray(r.spe_vector.spe)) for r in report.results]
+    )
+    assert len(seen) == 1
+    assert seen[0].tobytes() == want.tobytes() and seen[0].shape == want.shape
 
 
 # ---------------------------------------------------------------------------
