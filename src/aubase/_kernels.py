@@ -3,9 +3,9 @@
 One DWT analysis level with a single filter, the level-L approximation in
 one pass through the composite filter over a buffer that already holds
 each row (its periodic extension is written in place), the synthesis step
-that inverts a level, and the pairwise squared distances behind every BMU
-search and density estimate. All kernels are deterministic: the same inputs give
-the same bits on every call.
+that inverts a level, and the pairwise squared distances behind the map
+fits' BMU searches and density estimates. All kernels are deterministic: the
+same inputs give the same bits on every call.
 """
 
 from __future__ import annotations
@@ -101,16 +101,8 @@ def row_sqnorms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def pairwise_sqdist(points: np.ndarray, refs: np.ndarray, points_sq=None,
-                    refs_sq=None) -> np.ndarray:
-    """Squared distances, shape (len(points), len(refs)). Clipped at 0.
-
-    points_sq and refs_sq, when given, are row_sqnorms(points) and
-    row_sqnorms(refs), computed once by a caller that measures changing
-    points against the same refs, or the reverse.
-    """
-    p2 = (row_sqnorms(points) if points_sq is None else points_sq)[:, None]
-    r2 = (row_sqnorms(refs) if refs_sq is None else refs_sq)[None, :]
-    d2 = p2 + r2 - 2.0 * (points @ refs.T)
+def pairwise_sqdist(points: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Squared distances, shape (len(points), len(refs)). Clipped at 0."""
+    d2 = row_sqnorms(points)[:, None] + row_sqnorms(refs)[None, :] - 2.0 * (points @ refs.T)
     np.maximum(d2, 0.0, out=d2)
     return d2

@@ -30,8 +30,8 @@ only provides reference SPE vectors and calibration statistics.
 
 Each step's records are copied once, block by block, into one feature buffer
 that also holds their zero pad and periodic extension (see
-wavelet.extract_features), and a scoring pass takes each map's prototype
-norms once for all of its rows.
+wavelet.extract_features). A step's rows are scored in one pass of stacked
+one-row products: a row gets the same bits alone and in any batch.
 
 The steps share nothing until the SPE vectors are assembled, so their work
 (level choice, features, map fit and cluster PCA in training; features in
@@ -60,7 +60,7 @@ from .errors import (
     LayoutError,
     check_fields,
 )
-from .fusion import FeatureMatrix, build_step_layouts
+from .fusion import FeatureMatrix, apply_scaling, build_step_layouts
 
 QUANTILE = 0.95
 # Records per block for level selection and features. Blocks amortize the
@@ -430,78 +430,108 @@ def select_baseline(bank: BaselineBank, step: int, feature_row) -> SelectionResu
     """Pick the baseline cluster for one unfolded feature row, or flag novelty.
 
     Novel means: the BMU belongs to no cluster, the cluster has no usable
-    model, or the quantization error exceeds the cluster's q95 gate.
+    model, or the quantization error exceeds the cluster's q95 gate. The
+    row must be 1-D and finite; it is scored as a one-row pass.
     """
     if step not in bank.steps:
         raise InvalidArgumentError(f"bank has no actuation step {step}")
-    sm = bank.steps[step]
-    return _score_row(sm, feature_row, _kernels.row_sqnorms(sm.map.weights))[0]
+    row = np.asarray(feature_row, dtype=float)
+    if row.ndim != 1 or not np.isfinite(row).all():
+        raise InvalidArgumentError("feature row must be a 1-D array of finite values")
+    return _score_step(bank.steps[step], np.ascontiguousarray(row)[None])[0][0]
 
 
-def _score_row(sm: StepModel, feature_row, weights_sq: np.ndarray):
-    """(selection, scored cluster, SPE, SPE / that cluster's alarm threshold).
+def _row_dots(d: np.ndarray) -> np.ndarray:
+    """d . d along the last axis, one (1, m) @ (m, 1) product per row."""
+    return (d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
-    Every row the pipeline scores goes through here. A novel row is still
-    scored: against its BMU's cluster when that one is modeled, else against
-    the modeled cluster with the nearest mode prototype. Rows are scored one
-    at a time on purpose: the batched BMU distance, q.e. and SPE forms round
+
+def _spe_rows(model: pca.PcaModel, rows: np.ndarray) -> np.ndarray:
+    """pca.spe of each row alone, through stacked one-row products."""
+    xs = apply_scaling(rows, model.scaling)
+    resid = xs - ((xs[:, None, :] @ model.loadings) @ model.loadings.T)[:, 0]
+    return _row_dots(resid)
+
+
+def _score_step(sm: StepModel, rows: np.ndarray) -> list:
+    """[(selection, scored cluster, SPE, SPE / that cluster's alarm
+    threshold)] per row of the 2-D rows: every row the pipeline scores.
+
+    A novel row is still scored: against its BMU's cluster when that one is
+    modeled, else against the modeled cluster with the nearest mode
+    prototype. Every product is a stack of one-row products, so a row gets
+    the bits it gets alone in any batch; a GEMM over the rows rounds
     differently in the last bits, which would move bank and report bytes.
-    weights_sq is row_sqnorms(sm.map.weights), taken once per scoring pass.
     """
-    row = np.asarray(feature_row, dtype=float).ravel()
-    if row.shape[0] != sm.feature_width:
+    if rows.shape[1] != sm.feature_width:
         raise InvalidArgumentError(
-            f"feature row has {row.shape[0]} columns, step {sm.actuator_id} "
+            f"feature row has {rows.shape[1]} columns, step {sm.actuator_id} "
             f"expects {sm.feature_width}"
         )
-    unit = som.bmu(sm.map, row, weights_sq)
-    qe = float(np.linalg.norm(row - sm.map.weights[unit]))
-    cid = int(sm.partition.unit_label[unit])
-    modeled = cid >= 0 and sm.clusters[cid].model is not None
-    novel = not modeled or qe > sm.clusters[cid].q95
-    sel = SelectionResult(novel=novel, cluster=None if novel else cid, bmu=unit, qe=qe)
-    if not modeled:
-        candidates = [k for k in sorted(sm.clusters) if sm.clusters[k].model is not None]
+    w = sm.map.weights
+    d2 = (_kernels.row_sqnorms(rows)[:, None] + _kernels.row_sqnorms(w)
+          - 2.0 * (rows[:, None, :] @ w.T)[:, 0])
+    np.maximum(d2, 0.0, out=d2)
+    units = d2.argmin(axis=1)
+    qes = np.sqrt(_row_dots(rows - w[units])).tolist()
+    clusters = sm.clusters
+    selections, scored = [], []
+    for unit, cid, qe in zip(units.tolist(), sm.partition.unit_label[units].tolist(), qes):
+        modeled = cid >= 0 and clusters[cid].model is not None
+        novel = not modeled or qe > clusters[cid].q95
+        selections.append(SelectionResult(novel, None if novel else cid, unit, qe))
+        scored.append(cid if modeled else None)
+    fallback = [i for i, cid in enumerate(scored) if cid is None]
+    if fallback:
+        candidates = [k for k in sorted(clusters) if clusters[k].model is not None]
         if not candidates:
             raise DegenerateDataError(
                 f"step {sm.actuator_id} has no cluster with a usable PCA model"
             )
-        # the first of equally near modes wins
-        cid = min(candidates, key=lambda k: float(
-            np.linalg.norm(row - sm.map.weights[sm.partition.modes[k]])))
-    cm = sm.clusters[cid]
-    spe_val = float(pca.spe(cm.model, row))
-    if cm.spe_threshold is None or cm.spe_threshold <= 0.0:
-        norm = math.inf if spe_val > 0.0 else 0.0
-    else:
-        norm = spe_val / cm.spe_threshold
-    return sel, cid, spe_val, norm
+        modes = w[[sm.partition.modes[k] for k in candidates]]
+        # the first of the modes at the least norm (not squared distance) wins
+        near = np.sqrt(_row_dots(rows[fallback][:, None, :] - modes)).argmin(axis=1)
+        for i, k in zip(fallback, near.tolist()):
+            scored[i] = candidates[k]
+    spe = {}
+    for cid in set(scored):
+        idx = [i for i, c in enumerate(scored) if c == cid]
+        part = rows if len(idx) == len(rows) else rows[idx]  # no copy for one cluster
+        spe.update(zip(idx, _spe_rows(clusters[cid].model, part).tolist()))
+    out = []
+    for i, (sel, cid) in enumerate(zip(selections, scored)):
+        spe_val, threshold = spe[i], clusters[cid].spe_threshold
+        if threshold is None or threshold <= 0.0:
+            norm = math.inf if spe_val > 0.0 else 0.0
+        else:
+            norm = spe_val / threshold
+        out.append((sel, cid, spe_val, norm))
+    return out
 
 
 def _score_experiments(bank: BaselineBank, slots, rows: dict) -> list:
     """[(per-step cells, SpeVector)] for each experiment slot, where rows
-    maps each bank step to the unfolded rows aligned with slots."""
-    weights_sq = {s: _kernels.row_sqnorms(bank.steps[s].map.weights) for s in bank.step_ids}
+    maps each bank step to its 2-D unfolded rows aligned with slots."""
+    per_step = [_score_step(bank.steps[s], rows[s]) for s in bank.step_ids]
     scored = []
-    for i, slot in enumerate(slots):
-        cells, novelty = {}, []
-        for s in bank.step_ids:
-            sel, cid, spe_val, norm = _score_row(bank.steps[s], rows[s][i], weights_sq[s])
-            novelty.append(sel.novel)
-            cells[s] = {
+    for slot, row_scores in zip(slots, zip(*per_step)):
+        cells = {
+            s: {
                 "selected": "novel" if sel.novel else sel.cluster,
                 "scored_cluster": cid,
                 "qe": sel.qe,
                 "spe": spe_val,
                 "normalized": norm,
             }
+            for s, (sel, cid, spe_val, norm) in zip(bank.step_ids, row_scores)
+        }
         vec = SpeVector(
             key=slot.key,
             temperature_c=slot.temperature_c,
             state=slot.state,
             severity=slot.severity,
             spe=[c["spe"] for c in cells.values()],
-            novelty=novelty,
+            novelty=[sel.novel for sel, *_ in row_scores],
             normalized=[c["normalized"] for c in cells.values()],
         )
         scored.append((cells, vec))
@@ -532,7 +562,7 @@ class DetectionReport:
 
 def _experiment_rows(bank: BaselineBank, records):
     """(slots of the experiments that cover every bank step, in layout order;
-    each step's unfolded rows aligned with them; keys missing some step)."""
+    each step's rows as one 2-D array aligned with them; keys missing a step)."""
     layouts = build_step_layouts(records)
     missing = [s for s in bank.step_ids if s not in layouts]
     if missing:
@@ -552,23 +582,12 @@ def _experiment_rows(bank: BaselineBank, records):
         bank.step_ids,
         len(records) / len(layouts),
     )
-    rows = {
-        s: {slot.key: fm.values[i] for i, slot in enumerate(fm.meta)}
-        for s, fm in zip(bank.step_ids, fms)
-    }
-    complete, incomplete = [], []
-    for slot in layouts[bank.step_ids[0]].experiments:
-        if all(slot.key in rows[s] for s in bank.step_ids):
-            complete.append(slot)
-        else:
-            incomplete.append(slot.key)
-    known = set(rows[bank.step_ids[0]])
-    for s in bank.step_ids[1:]:
-        for key in rows[s]:
-            if key not in known:
-                incomplete.append(key)
-                known.add(key)
-    aligned = {s: [rows[s][slot.key] for slot in complete] for s in bank.step_ids}
+    index = [{slot.key: i for i, slot in enumerate(fm.meta)} for fm in fms]
+    complete = [slot for slot in fms[0].meta if all(slot.key in ix for ix in index)]
+    incomplete = list(dict.fromkeys(
+        key for ix in index for key in ix if not all(key in jx for jx in index)))
+    aligned = {s: fm.values[[ix[slot.key] for slot in complete]]
+               for s, fm, ix in zip(bank.step_ids, fms, index)}
     return complete, aligned, incomplete
 
 
@@ -739,18 +758,11 @@ def compare_monolithic(records, config: PipelineConfig | None = None) -> Compari
         mono_jm = pca.spe_control_limit(mono, alpha=1.0 - QUANTILE)
 
         fm_dmg = _step_matrix(dmg_layouts[s], dmg_by_id, sm.level)
-        weights_sq = _kernels.row_sqnorms(sm.map.weights)
-
-        prop_scores, mono_scores, labels = [], [], []
-        for values, label in ((fm_val.values, 0), (fm_dmg.values, 1)):
-            for row in values:
-                sel, _, _, norm = _score_row(sm, row, weights_sq)
-                prop_scores.append(math.inf if sel.novel else norm)
-                mono_scores.append(float(pca.spe(mono, row)))
-                labels.append(label)
-        prop_scores = np.array(prop_scores)
-        mono_scores = np.array(mono_scores)
-        labels = np.array(labels)
+        rows = np.vstack([fm_val.values, fm_dmg.values])
+        labels = np.repeat([0, 1], [fm_val.n, fm_dmg.n])
+        prop_scores = np.array([math.inf if sel.novel else norm
+                                for sel, _, _, norm in _score_step(sm, rows)])
+        mono_scores = _spe_rows(mono, rows)
 
         roc_prop = evaluate.roc(prop_scores, labels)
         roc_mono = evaluate.roc(mono_scores, labels)

@@ -138,18 +138,14 @@ def _kernel_matrix(neg_lattice_d2: np.ndarray, kernel_form: str, lam: float) -> 
     return np.exp(neg_lattice_d2 / (2.0 * lam * lam))
 
 
-def bmu_indices(model: SomModel, data: np.ndarray, weights_sq=None) -> np.ndarray:
-    """Best-matching unit per row; ties go to the lowest unit index.
-
-    weights_sq, when given, is row_sqnorms(model.weights), computed once by
-    a caller that searches the same map for many rows."""
+def bmu_indices(model: SomModel, data: np.ndarray) -> np.ndarray:
+    """Best-matching unit per row; ties go to the lowest unit index."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    d2 = _kernels.pairwise_sqdist(data, model.weights, refs_sq=weights_sq)
-    return np.argmin(d2, axis=1)
+    return np.argmin(_kernels.pairwise_sqdist(data, model.weights), axis=1)
 
 
-def bmu(model: SomModel, x: np.ndarray, weights_sq=None) -> int:
-    return int(bmu_indices(model, x, weights_sq)[0])
+def bmu(model: SomModel, x: np.ndarray) -> int:
+    return int(bmu_indices(model, x)[0])
 
 
 def lambda_schedule(model: SomModel, epoch: int, epochs: int) -> float:

@@ -61,9 +61,10 @@ def test_pairwise_sqdist_matches_bruteforce():
             assert abs(d2[i, j] - want) < 1e-9
 
 
-def clip_sqdist(points, refs, points_sq, refs_sq):
+def clip_sqdist(points, refs):
     """pairwise_sqdist in its np.clip form."""
-    d2 = points_sq[:, None] + refs_sq[None, :] - 2.0 * (points @ refs.T)
+    p2, r2 = _kernels.row_sqnorms(points), _kernels.row_sqnorms(refs)
+    d2 = p2[:, None] + r2[None, :] - 2.0 * (points @ refs.T)
     np.clip(d2, 0.0, None, out=d2)
     return d2
 
@@ -82,14 +83,8 @@ def test_pairwise_sqdist_clamp_matches_clip_bitwise():
     p2, r2 = _kernels.row_sqnorms(points), _kernels.row_sqnorms(refs)
     raw = p2[:, None] + r2[None, :] - 2.0 * (points @ refs.T)
     assert (raw < 0.0).any() and (raw == 0.0).any() and np.isnan(raw).any()
-    want = clip_sqdist(points, refs, p2, r2)
+    want = clip_sqdist(points, refs)
     assert _kernels.pairwise_sqdist(points, refs).tobytes() == want.tobytes()
-    # norms passed as -0.0 make a raw -0.0 distance between the zero rows
-    p2[-3:-1], r2[-2:] = -0.0, -0.0
-    raw = p2[:, None] + r2[None, :] - 2.0 * (points @ refs.T)
-    assert np.signbit(raw[-3:-1, -2:]).all()
-    got = _kernels.pairwise_sqdist(points, refs, points_sq=p2, refs_sq=r2)
-    assert got.tobytes() == clip_sqdist(points, refs, p2, r2).tobytes()
 
 
 def test_composite_filter_identities():

@@ -12,10 +12,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aubase
-from aubase import _kernels, fusion, pca, pipeline, signals, som, store, wavelet
+from aubase import _kernels, fusion, pca, pipeline, signals, store, wavelet
 from aubase.errors import DegenerateDataError, InvalidArgumentError, LayoutError
+from util import score_row_oracle
 
 
 def step_rows(bank, records, step):
@@ -323,34 +325,87 @@ def test_select_baseline_validation(small_bank):
         pipeline.select_baseline(small_bank, 99, np.zeros(width))
 
 
-def check_scored_row(bank, s, row, sel, cid, spe_val):
-    """One row's (selection, scored cluster, SPE) from a scoring pass with
-    the map norms taken once, against the public one-row path, the BMU
-    search that takes the norms itself, and the scored cluster's SPE."""
-    sm = bank.steps[s]
-    assert sel == pipeline.select_baseline(bank, s, row)
-    assert sel.bmu == som.bmu(sm.map, row)
-    assert sel.qe == float(np.linalg.norm(row - sm.map.weights[sel.bmu]))
-    assert spe_val == float(pca.spe(sm.clusters[cid].model, row))
+def test_select_baseline_refuses_non_1d_row(small_bank):
+    # a (2, m/2) block holds m values but is no row
+    step = small_bank.step_ids[0]
+    row = small_bank.steps[step].map.weights[0]
+    for block in (row.reshape(2, -1), row[None]):
+        with pytest.raises(InvalidArgumentError):
+            pipeline.select_baseline(small_bank, step, block)
 
 
-def test_score_pass_norms_match_select_baseline(small_bank, small_records):
-    # the scoring pass takes each map's norms once; every row must keep the
-    # selection, BMU, q.e. and SPE bits of the one-row public path
-    keys = small_bank.train_keys[:6] + small_bank.val_keys[:4]
-    rows = {s: step_rows(small_bank, small_records, s) for s in small_bank.step_ids}
-    slots = [slot for slot in fusion.build_step_layouts(small_records)[1].experiments
-             if slot.key in keys]
-    aligned = {s: [rows[s][slot.key] for slot in slots] for s in small_bank.step_ids}
-    scored = pipeline._score_experiments(small_bank, slots, aligned)
-    assert len(scored) == len(keys)
-    for (cells, _), slot in zip(scored, slots):
-        for s in small_bank.step_ids:
-            sm, row, cell = small_bank.steps[s], rows[s][slot.key], cells[s]
-            sel = pipeline._score_row(sm, row, _kernels.row_sqnorms(sm.map.weights))[0]
-            assert cell["selected"] == ("novel" if sel.novel else sel.cluster)
-            assert cell["qe"] == sel.qe
-            check_scored_row(small_bank, s, row, sel, cell["scored_cluster"], cell["spe"])
+def test_select_baseline_refuses_non_finite_row(small_bank):
+    step = small_bank.step_ids[0]
+    for bad in (np.nan, np.inf, -np.inf):
+        row = small_bank.steps[step].map.weights[0].copy()
+        row[3] = bad
+        with pytest.raises(InvalidArgumentError):
+            pipeline.select_baseline(small_bank, step, row)
+
+
+def check_against_oracle(sm, rows):
+    """The step pass over the 2-D rows, checked bit for bit against the
+    per-row oracle; returns the pass's scores."""
+    got = pipeline._score_step(sm, rows)
+    assert len(got) == len(rows)
+    for row, (sel, cid, spe_val, norm) in zip(rows, got):
+        want_sel, want_cid, want_spe, want_norm = score_row_oracle(sm, row)
+        assert (sel.novel, sel.cluster, sel.bmu, cid) == (
+            want_sel.novel, want_sel.cluster, want_sel.bmu, want_cid)
+        assert np.array([sel.qe, spe_val, norm]).tobytes() == np.array(
+            [want_sel.qe, want_spe, want_norm]).tobytes()
+    return got
+
+
+def test_score_step_matches_per_row_oracle(small_bank, small_records):
+    # every train and validation row, scored in one pass per step
+    for s in small_bank.step_ids:
+        rows = step_rows(small_bank, small_records, s)
+        keys = small_bank.train_keys + small_bank.val_keys
+        got = check_against_oracle(small_bank.steps[s], np.vstack([rows[k] for k in keys]))
+        assert [sel for sel, *_ in got] == [
+            pipeline.select_baseline(small_bank, s, rows[k]) for k in keys]
+
+
+def test_score_step_unclustered_bmu_falls_back_to_lowest_equally_near_mode(small_bank):
+    sm = copy.deepcopy(small_bank.steps[small_bank.step_ids[0]])
+    w, labels = sm.map.weights, sm.partition.unit_label
+    row = w[int(np.nonzero(labels < 0)[0][0])].copy()
+    modeled = [k for k in sorted(sm.clusters) if sm.clusters[k].model is not None]
+    assert len(modeled) >= 2
+    sel, cid, _, _ = check_against_oracle(sm, row[None])[0]
+    assert sel.novel and sel.cluster is None and labels[sel.bmu] < 0
+    assert cid in modeled
+    # two modes at one prototype: the lower cluster id wins
+    lo, hi = modeled[:2]
+    w[sm.partition.modes[lo]] = w[sm.partition.modes[hi]]
+    sel, cid, _, _ = check_against_oracle(sm, row[None])[0]
+    assert labels[sel.bmu] < 0 and cid == lo
+
+
+def test_score_step_cluster_without_model_is_novel(small_bank):
+    sm = small_bank.steps[small_bank.step_ids[0]]
+    bare = [k for k in sorted(sm.clusters) if sm.clusters[k].model is None]
+    assert bare
+    row = sm.map.weights[sm.partition.modes[bare[0]]]
+    sel, cid, _, _ = check_against_oracle(sm, row[None])[0]
+    assert sel.novel and sel.cluster is None
+    assert sm.partition.unit_label[sel.bmu] == bare[0]
+    assert sm.clusters[cid].model is not None
+
+
+def test_score_step_without_spe_threshold(small_bank, small_records):
+    # no alarm threshold: a positive SPE normalizes to inf, a zero one to 0
+    s = small_bank.step_ids[0]
+    sm = copy.deepcopy(small_bank.steps[s])
+    for cm in sm.clusters.values():
+        cm.spe_threshold = None
+    row = step_rows(small_bank, small_records, s)[small_bank.train_keys[0]]
+    (_, cid, spe_val, norm), = check_against_oracle(sm, row[None])
+    assert spe_val > 0.0 and norm == math.inf
+    sm.clusters[cid].model.scaling.col_means = row.copy()
+    (_, _, spe_val, norm), = check_against_oracle(sm, row[None])
+    assert spe_val == 0.0 and norm == 0.0
 
 
 def tie_bank(small_bank, ulps):
@@ -373,17 +428,66 @@ def tie_bank(small_bank, ulps):
 def test_score_pass_ties_keep_their_bits(small_bank, ulps):
     # duplicated prototypes tie exactly and the lowest unit wins; prototypes
     # a few ulps apart may round to one distance in the p2 + r2 - 2 p.r
-    # form, but the pass with the norms taken once rounds them alike
+    # form, and the pass rounds them as the one-row search does
     bank, step, row, low, high = tie_bank(small_bank, ulps)
     sm = bank.steps[step]
     d2 = _kernels.pairwise_sqdist(row[None], sm.map.weights)[0]
     if ulps == 0:
         assert d2[low] == d2[high] == d2.min()
-    sel, cid, spe_val, _ = pipeline._score_row(sm, row, _kernels.row_sqnorms(sm.map.weights))
+    sel = check_against_oracle(sm, row[None])[0][0]
     assert sel.bmu == (low if d2[low] <= d2[high] else high)
-    check_scored_row(bank, step, row, sel, cid, spe_val)
+    assert sel == pipeline.select_baseline(bank, step, row)
     exact = np.sum((sm.map.weights - row) ** 2, axis=1)
     assert exact[sel.bmu] <= exact.min() + 1e-12 * float(row @ row)
+
+
+def nudge(x, ulps):
+    """x moved by ulps units in the last place (toward -inf when negative)."""
+    for _ in range(abs(ulps)):
+        x = np.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_score_step_near_tie_bmus_match_oracle(small_bank, data):
+    # rows a few ulps from a prototype with a twin an exact copy of it or a
+    # few ulps away: the pass picks the oracle's unit, and between exact
+    # copies always the lower index
+    s = data.draw(st.sampled_from(small_bank.step_ids))
+    sm = copy.deepcopy(small_bank.steps[s])
+    w = sm.map.weights
+    unit = data.draw(st.integers(0, len(w) - 1))
+    twin = data.draw(st.integers(0, len(w) - 1).filter(lambda u: u != unit))
+    twin_ulps = data.draw(st.integers(-4, 4))
+    w[twin] = w[unit]
+    w[twin, 0] = nudge(w[twin, 0], twin_ulps)
+    moves = data.draw(st.lists(
+        st.tuples(st.integers(0, w.shape[1] - 1), st.integers(-4, 4)), min_size=1, max_size=4))
+    rows = np.repeat(w[unit][None], len(moves) + 1, axis=0)
+    for row, (coord, ulps) in zip(rows[1:], moves):
+        row[coord] = nudge(row[coord], ulps)
+    for sel, *_ in check_against_oracle(sm, rows):
+        assert sel.bmu in (unit, twin)
+        if twin_ulps == 0:
+            assert sel.bmu == min(unit, twin)
+
+
+@pytest.mark.parametrize("batch", ["small_records", "damage_records"])
+def test_scores_independent_of_batch_composition(small_bank, batch, request):
+    # a row's per-step cells carry the same bits alone, in its batch and in
+    # the reversed batch
+    slots, rows, _ = pipeline._experiment_rows(small_bank, request.getfixturevalue(batch))
+
+    def cells(order):
+        picked = {s: rows[s][order] for s in small_bank.step_ids}
+        scored = pipeline._score_experiments(small_bank, [slots[i] for i in order], picked)
+        return {slots[i].key: repr(c) for i, (c, _) in zip(order, scored)}
+
+    whole = cells(list(range(len(slots))))
+    assert cells(list(reversed(range(len(slots))))) == whole
+    for i, slot in enumerate(slots):
+        assert cells([i]) == {slot.key: whole[slot.key]}
 
 
 # ---------------------------------------------------------------------------

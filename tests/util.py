@@ -1,9 +1,10 @@
 """Shared helpers for the test suite."""
 import itertools
+import math
 
 import numpy as np
 
-from aubase import signals
+from aubase import pca, pipeline, signals, som
 
 
 def best_agreement(truth, predicted) -> float:
@@ -42,3 +43,28 @@ def make_toneburst(carrier_freq_hz, n_cycles, amplitude, sample_rate_hz) -> np.n
     n = int(round(n_cycles / carrier_freq_hz * sample_rate_hz))
     t = np.arange(n) / sample_rate_hz
     return signals._burst_at(t, carrier_freq_hz, n_cycles, amplitude)
+
+
+def score_row_oracle(sm, feature_row):
+    """(selection, scored cluster, SPE, normalized SPE) of one row of step
+    model sm, scored on its own: the one-row BMU search, np.linalg.norm for
+    the q.e. and the mode distances, and pca.spe for the SPE."""
+    row = np.asarray(feature_row, dtype=float).ravel()
+    unit = som.bmu(sm.map, row)
+    qe = float(np.linalg.norm(row - sm.map.weights[unit]))
+    cid = int(sm.partition.unit_label[unit])
+    modeled = cid >= 0 and sm.clusters[cid].model is not None
+    novel = not modeled or qe > sm.clusters[cid].q95
+    sel = pipeline.SelectionResult(novel=novel, cluster=None if novel else cid, bmu=unit, qe=qe)
+    if not modeled:
+        candidates = [k for k in sorted(sm.clusters) if sm.clusters[k].model is not None]
+        # the first of equally near modes wins
+        cid = min(candidates, key=lambda k: float(
+            np.linalg.norm(row - sm.map.weights[sm.partition.modes[k]])))
+    cm = sm.clusters[cid]
+    spe_val = float(pca.spe(cm.model, row))
+    if cm.spe_threshold is None or cm.spe_threshold <= 0.0:
+        norm = math.inf if spe_val > 0.0 else 0.0
+    else:
+        norm = spe_val / cm.spe_threshold
+    return sel, cid, spe_val, norm
