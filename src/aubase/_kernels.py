@@ -1,16 +1,22 @@
 """Numerical hot loops, vectorized in numpy.
 
 One DWT analysis level with a single filter, the level-L approximation in
-one pass through the composite filter over a buffer that already holds
-each row (its periodic extension is written in place), the synthesis step
-that inverts a level, and the pairwise squared distances behind the map
-fits' BMU searches and density estimates. All kernels are deterministic: the
-same inputs give the same bits on every call.
+one pass through the composite filter that reads each record in place, the
+synthesis step that inverts a level, and the pairwise squared distances
+behind the map fits' BMU searches and density estimates. All kernels are
+deterministic: the same inputs give the same bits on every call.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Bytes of product stack decimated_correlation fills before it sums the
+# diagonals (at least one record's). At levels 1-3 one stack per step
+# (280 MB at level 1) ran 3.1-4.6x slower on the reference baselines. At
+# 512 KB, glibc's mmap threshold stayed below level selection's 512 KB
+# blocks after a fit's features, and a 2-transducer fit took 5% longer.
+STACK_BYTES = 1 << 20
 
 
 def analysis_level(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -51,32 +57,59 @@ def composite_filter(h: np.ndarray, level: int) -> np.ndarray:
     return c
 
 
-def decimated_correlation(xp: np.ndarray, phases: np.ndarray, n: int) -> np.ndarray:
-    """sum_j c[j] x[(s k + j) mod n] for k < n / s, for each row x of
-    length n, a multiple of s.
+def decimated_correlation(rows, phases: np.ndarray) -> np.ndarray:
+    """sum_j c[j] x[(s k + j) mod npad] for k < m, for each record x of
+    rows, a 2-D array or a sequence of equal-length 1-D arrays: each
+    n-sample record zero-padded to npad = m s samples, m = ceil(n / s).
 
     phases is the polyphase form of the filter c, shape (s, P):
-    phases[r, p] = c[p s + r], zero past the last tap. xp is a C-contiguous
-    (..., n + s (P - 1)) buffer whose rows hold their n samples first; each
-    row's periodic extension is written into the rest of it in place, so no
-    row is copied. Each extended row, reshaped to (n / s + P - 1, s), is
-    multiplied by phases in one matrix product; output k is the sum of the
-    P products on the diagonal starting at row k, added in the order
-    p = 0 .. P - 1. A block is a stack of same-shape products, one per row,
-    so a row gives the same bits alone or in a block.
+    phases[r, p] = c[p s + r], zero past the last tap. Row i of the product
+    y of the padded record, extended periodically by s (P - 1) samples and
+    reshaped to (m + P - 1, s), with phases holds chunk i's P phase sums;
+    output k is the sum of the P products on the diagonal starting at row
+    k, added in the order p = 0 .. P - 1.
+
+    No record is copied. Its full s-sample chunks, as a reshaped view, go
+    through one product into its slot of a (records, m + P - 1, P) stack;
+    only the rest goes through a second, small product: the record's first
+    s (P - 1) samples when it needs no pad and is that long, else a
+    gathered zero-padded cyclic segment. The view product is used only
+    when it has at least 2 rows: a one-row product takes another BLAS
+    route and rounds differently. The diagonal sum then runs over the
+    whole stack, which holds up to STACK_BYTES of records. Every record's
+    products have the same shapes, so a record gives the same bits alone
+    or among others.
     """
     s, taps = phases.shape
-    tail = s * (taps - 1)
-    m = n // s
-    if n >= tail:
-        xp[..., n:] = xp[..., :tail]
-    else:
-        # the wrapped head is the row tiled cyclically
-        xp[..., n:] = np.take(xp[..., :n], np.arange(tail) % n, axis=-1)
-    y = xp.reshape(xp.shape[:-1] + (m + taps - 1, s)) @ phases
-    out = y[..., :m, 0].copy()
-    for p in range(1, taps):
-        out += y[..., p:p + m, p]
+    n = rows[0].shape[0]
+    m = -(-n // s)
+    npad, tail = m * s, s * (taps - 1)
+    q = n // s if n >= 2 * s else 0
+    gather = q < m or n < tail
+    if gather:
+        # the padded record's samples q s .. npad - 1, then its periodic head
+        pos = np.arange(q * s, npad + tail)
+        src = np.where(pos < npad, pos, (pos - npad) % npad)
+        pad = src >= n
+        src[pad] = 0
+    out = np.empty((len(rows), m))
+    group = max(1, STACK_BYTES // ((m + taps - 1) * taps * 8))
+    for start in range(0, len(rows), group):
+        part = rows[start:start + group]
+        y = np.empty((len(part), m + taps - 1, taps))
+        for x, yx in zip(part, y):
+            if q:
+                np.matmul(x[:q * s].reshape(q, s), phases, out=yx[:q])
+            if gather:
+                seg = x[src]
+                seg[pad] = 0.0
+            else:
+                seg = x[:tail]
+            np.matmul(seg.reshape(-1, s), phases, out=yx[q:])
+        acc = out[start:start + group]
+        acc[:] = y[:, :m, 0]
+        for p in range(1, taps):
+            acc += y[:, p:p + m, p]
     return out
 
 

@@ -28,10 +28,9 @@ from damage classes.
 The validation fraction never touches any model parameter or threshold; it
 only provides reference SPE vectors and calibration statistics.
 
-Each step's records are copied once, block by block, into one feature buffer
-that also holds their zero pad and periodic extension (see
-wavelet.extract_features). A step's rows are scored in one pass of stacked
-one-row products: a row gets the same bits alone and in any batch.
+A step's features are made in one pass that reads each record in place
+(see wavelet.extract_features). A step's rows are scored in one pass of
+stacked one-row products: a row gets the same bits alone and in any batch.
 
 The steps share nothing until the SPE vectors are assembled, so their work
 (level choice, features, map fit and cluster PCA in training; features in
@@ -63,14 +62,10 @@ from .errors import (
 from .fusion import FeatureMatrix, apply_scaling, build_step_layouts
 
 QUANTILE = 0.95
-# Records per block for level selection and features. Blocks amortize the
-# per-call overhead over the rows, and a small block keeps the feature
-# buffer that each record is copied into in cache: the level-8 features of
-# the 2,160 reference baselines take 0.23 s one record at a time, 0.13-0.16 s
-# in blocks of 4, 0.16-0.17 s in blocks of 16 and 0.19-0.21 s in blocks of
-# 64 (one BLAS thread; medians of five in two sets on a 2-core x86-64
-# host). The step pool below works on whole steps, one block at a time per
-# thread.
+# Records per block for level selection, and the unit of POOL_MIN_RECORDS.
+# A block amortizes the per-call overhead of the cascade over its rows;
+# blocks of 64 rows were no faster than blocks of 4. The step pool below
+# works on whole steps.
 BLOCK_ROWS = 4
 # Threads for the per-step work: one per core this process may run on.
 STEP_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -253,21 +248,10 @@ def _modal_level(blocks, config: PipelineConfig) -> int:
 def _step_matrix(layout, by_id: dict, level: int) -> FeatureMatrix:
     """The step's unfolded features: one row per experiment of the layout,
     holding its channels' level-`level` approximation coefficients side by
-    side in layout.sensor_ids order. by_id maps record id -> record.
-
-    Each block of BLOCK_ROWS records is written, one record per row, into
-    one feature buffer that also holds the rows' zero pad and periodic
-    extension, so a record is copied once on its way to the product."""
-    samples = _step_samples(layout, by_id, layout.experiments)
-    n = np.shape(samples[0])[0]
-    buf = wavelet.feature_buffer(min(BLOCK_ROWS, len(samples)), n, level)
-    blocks = []
-    for start in range(0, len(samples), BLOCK_ROWS):
-        block = samples[start:start + BLOCK_ROWS]
-        for row, x in zip(buf, block):
-            row[:n] = x
-        blocks.append(wavelet.extract_features(buf[:len(block)], level, n))
-    features = np.vstack(blocks)
+    side in layout.sensor_ids order. by_id maps record id -> record. The
+    step's records go to extract_features as one list, read in place."""
+    features = wavelet.extract_features(
+        _step_samples(layout, by_id, layout.experiments), level)
     channels = len(layout.sensor_ids)
     width = features.shape[1]
     return FeatureMatrix(

@@ -138,16 +138,6 @@ def _kernel_matrix(neg_lattice_d2: np.ndarray, kernel_form: str, lam: float) -> 
     return np.exp(neg_lattice_d2 / (2.0 * lam * lam))
 
 
-def bmu_indices(model: SomModel, data: np.ndarray) -> np.ndarray:
-    """Best-matching unit per row; ties go to the lowest unit index."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    return np.argmin(_kernels.pairwise_sqdist(data, model.weights), axis=1)
-
-
-def bmu(model: SomModel, x: np.ndarray) -> int:
-    return int(bmu_indices(model, x)[0])
-
-
 def lambda_schedule(model: SomModel, epoch: int, epochs: int) -> float:
     ratio = model.lambda_end / model.lambda_start
     return float(model.lambda_start * ratio ** (epoch / epochs))

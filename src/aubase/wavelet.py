@@ -12,13 +12,12 @@ Feature extraction keeps only the deepest approximation coefficients. By
 the noble identity of multirate filter banks, L levels of filtering with h
 and downsampling by 2 are one correlation with the level-L composite filter
 and downsampling by 2^L, so extract_features makes that one pass, in
-polyphase form: one small matrix product per record, with the filter's
-polyphase form built once per level. It agrees with the cascade to
-rounding (about 1e-15 of the largest coefficient), not bitwise. Each
-record is copied once, into a row of a feature buffer (feature_buffer)
-that holds the record, its zero pad and its periodic extension, and the
-product reads a reshaped view of that row; a caller that features many
-records fills one buffer block by block and passes it in.
+polyphase form, with the filter's polyphase form built once per level. It
+agrees with the cascade to rounding (about 1e-15 of the largest
+coefficient), not bitwise. No record is copied: the product reads each
+record's full chunks as a reshaped view, and only its zero pad and
+periodic head are gathered. A caller that features many records passes
+them as one list, so they need not be stacked either.
 The decomposition depth can be chosen per signal by minimizing the Shannon
 entropy of the approximation; select_level needs every level's
 approximation, so it runs the cascade with the h channel alone, and scores
@@ -27,8 +26,8 @@ gives the same bits as shannon_entropy row by row (so the scan runs in numpy
 with the interpreter lock released, not in a Python loop per row). dwt and
 idwt keep the cascade as the reference transform. Feature extraction and
 level selection take one signal or a 2-D (records, samples) block of
-equal-length signals; a block row gives the same bits as that signal on
-its own.
+equal-length signals, and feature extraction also a list of equal-length
+1-D records; a block row gives the same bits as that signal on its own.
 """
 
 from __future__ import annotations
@@ -83,12 +82,17 @@ class WaveletDecomposition:
     original_length: int
 
 
-def _check_signal(x: np.ndarray) -> np.ndarray:
+def _check_shape(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.size == 0:
         raise InvalidArgumentError(
             "signal must be a nonempty 1-D array or 2-D (records, samples) block"
         )
+    return x
+
+
+def _check_signal(x: np.ndarray) -> np.ndarray:
+    x = _check_shape(x)
     if not np.all(np.isfinite(x)):
         raise InvalidArgumentError("signal contains non-finite samples")
     return x
@@ -175,46 +179,34 @@ def _block_entropies(rows: np.ndarray) -> np.ndarray:
     return ent
 
 
-def extract_features(x: np.ndarray, level: int, n: int | None = None) -> np.ndarray:
+def extract_features(x, level: int) -> np.ndarray:
     """Approximation coefficients at the given level, zero-padding the tail
     to the next multiple of 2^level when the length requires it.
 
     One stride-2^level correlation of the padded record with the level's
     composite filter, which equals the level-by-level cascade of dwt up to
-    rounding. x is one signal or a (records, samples) block; the result has
-    one row of coefficients per record.
-
-    A caller that features many n-sample records can pass n and, as x, a
-    feature_buffer(rows, n, level), or its first rows, holding one record
-    in the first n samples of each row. The rows' zero pad and periodic
-    extension are then written into the rest of the buffer in place, so
-    each record is copied once, into the buffer.
+    rounding. x is one signal, a (records, samples) block or a list of
+    equal-length 1-D records, read in place; the result of a block or list
+    has one row of coefficients per record.
     """
-    if n is None:
-        x = _check_signal(x)
-        n = x.shape[-1]
-        buf = feature_buffer(1 if x.ndim == 1 else x.shape[0], n, level)
-        buf[:, :n] = x
+    if isinstance(x, (list, tuple)) and x and all(np.ndim(r) == 1 for r in x):
+        rows, ndim = [_check_shape(r) for r in x], 2
+        if len({r.shape for r in rows}) != 1:
+            raise InvalidArgumentError("records must share one sample length")
     else:
-        buf = x
-        _check_signal(buf[:, :n])
-    phases = _polyphase_filter(level)
-    block, taps = phases.shape
-    npad = buf.shape[1] - block * (taps - 1)
-    buf[:, n:npad] = 0.0
-    out = _kernels.decimated_correlation(buf, phases, npad)
-    return out[0] if x.ndim == 1 else out
-
-
-def feature_buffer(rows: int, n: int, level: int) -> np.ndarray:
-    """An uninitialized (rows, npad + 2^level (P - 1)) array for
-    extract_features(buffer, level, n): npad is n rounded up to a multiple
-    of 2^level and P the taps per phase of the level's filter, so each row
-    has room for one record, its zero pad and its periodic extension."""
+        x = _check_shape(x)
+        rows, ndim = x.reshape(-1, x.shape[-1]), x.ndim
     if level < 1:
         raise InvalidArgumentError(f"level must be >= 1, got {level}")
-    block, taps = _polyphase_filter(level).shape
-    return np.empty((rows, -(-n // block) * block + block * (taps - 1)))
+    # a non-finite sample makes some feature of its record non-finite, so
+    # the samples need checking only then (and are refused, not warned
+    # about); a finite record whose features overflow is accepted
+    with np.errstate(invalid="ignore"):
+        out = _kernels.decimated_correlation(rows, _polyphase_filter(level))
+    if not np.all(np.isfinite(out)):
+        for r in rows:
+            _check_signal(r)
+    return out[0] if ndim == 1 else out
 
 
 @functools.lru_cache(maxsize=16)

@@ -1,4 +1,8 @@
 """The low-level numeric kernels against plain-loop references."""
+import inspect
+import pathlib
+import re
+
 import numpy as np
 
 from aubase import _kernels, wavelet
@@ -99,20 +103,36 @@ def test_composite_filter_identities():
 
 
 def test_decimated_correlation_matches_modular_loop():
-    # stride s, filters shorter and longer than the rows, heads that wrap
+    # stride s, filters shorter and longer than the rows, heads that wrap,
+    # zero-padded rows, and rows of one chunk or less
     rng = np.random.default_rng(17)
-    for s, taps, n in ((2, 16, 8), (4, 46, 12), (8, 13, 64), (16, 100, 32)):
+    for s, taps, n in ((2, 16, 8), (4, 46, 12), (8, 13, 64), (16, 100, 32),
+                       (8, 13, 61), (16, 100, 20), (8, 40, 5)):
         c = rng.normal(size=taps)
         p = -(-taps // s)
         phases = np.zeros(p * s)
         phases[:taps] = c
         phases = phases.reshape(p, s).T.copy()
         x = rng.normal(size=(3, n))
-        xp = np.empty((3, n + s * (p - 1)))
-        xp[:, :n] = x
-        got = _kernels.decimated_correlation(xp, phases, n)
-        assert np.array_equal(xp[:, :n], x)
-        idx = (s * np.arange(n // s)[:, None] + np.arange(taps)[None, :]) % n
-        want = x[:, idx] @ c
-        assert got.shape == (3, n // s)
+        kept = x.copy()
+        got = _kernels.decimated_correlation(x, phases)
+        assert np.array_equal(x, kept)
+        m = -(-n // s)
+        padded = np.concatenate([x, np.zeros((3, m * s - n))], axis=1)
+        idx = (s * np.arange(m)[:, None] + np.arange(taps)[None, :]) % (m * s)
+        want = padded[:, idx] @ c
+        assert got.shape == (3, m)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        assert np.array_equal(_kernels.decimated_correlation(list(x), phases), got)
+
+
+def test_readme_lists_every_kernel():
+    # a renamed, added or removed kernel fails here instead of leaving the
+    # README's list stale
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    found = re.search(r"kernels\s+in\s+`aubase\._kernels`\s+\(([^)]*)\)", readme.read_text())
+    assert found is not None
+    listed = re.findall(r"`(\w+)`", found.group(1))
+    public = {name for name, fn in inspect.getmembers(_kernels, inspect.isfunction)
+              if fn.__module__ == _kernels.__name__ and not name.startswith("_")}
+    assert sorted(listed) == sorted(public)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import aubase
 from aubase import _kernels, fusion, pca, pipeline, signals, store, wavelet
 from aubase.errors import DegenerateDataError, InvalidArgumentError, LayoutError
-from util import score_row_oracle
+from util import score_row_oracle, two_copy_features
 
 
 def step_rows(bank, records, step):
@@ -143,22 +144,6 @@ def test_feature_blocks_reject_non_1d_samples(small_records):
         pipeline._step_matrix(layout, by_id, 3)
 
 
-def two_copy_features(x, level):
-    """The level-`level` features as the two-copy form computed them: the
-    zero-padded record, then its periodic extension, each a new array,
-    through the same product and fixed-order diagonal sum."""
-    phases = wavelet._polyphase_filter(level)
-    s, taps = phases.shape
-    x = np.concatenate([x, np.zeros(-x.size % s)])
-    n, m = x.size, x.size // s
-    head = np.take(x, np.arange(s * (taps - 1)) % n)
-    y = np.concatenate([x, head]).reshape(m + taps - 1, s) @ phases
-    out = y[:m, 0].copy()
-    for p in range(1, taps):
-        out += y[p:p + m, p]
-    return out
-
-
 def short_step(small_records, n_records, n_samples):
     """(layout, by_id, picked records) for the first n_records experiments
     of the one-channel step 1, every record cut to n_samples."""
@@ -171,10 +156,9 @@ def short_step(small_records, n_records, n_samples):
 
 @pytest.mark.parametrize("n_samples", [3, 5, 17, 777])
 def test_step_matrix_one_copy_bitwise_equal(small_records, n_samples):
-    # 6 records: a full block of BLOCK_ROWS and a shorter last one. At every
-    # length here some level pads the record to fewer samples than its
-    # periodic extension, which then tiles the padded record
-    assert pipeline.BLOCK_ROWS == 4
+    # 6 records, read in place. At every length here some level pads the
+    # record to fewer samples than its periodic extension, which then tiles
+    # the padded record
     layout, by_id, picked = short_step(small_records, 6, n_samples)
     tiled = 0
     for level in range(1, 9):
@@ -190,11 +174,37 @@ def test_step_matrix_one_copy_bitwise_equal(small_records, n_samples):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_step_matrix_refuses_non_finite_mid_block(small_records, bad):
-    # the sixth record sits in the middle of the second block
+    # the sixth of nine records
     layout, by_id, picked = short_step(small_records, 9, 777)
     picked[5].samples[100] = bad
     with pytest.raises(InvalidArgumentError, match="signal contains non-finite samples"):
         pipeline._step_matrix(layout, by_id, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n_samples", [4096, 777])
+def test_step_matrix_refuses_non_finite_first_last_and_head_sample(small_records, n_samples, bad):
+    # level 8: 4,096 samples need no pad, 777 are padded and their
+    # periodic extension wraps; the third position lies in the extension
+    s, taps = wavelet._polyphase_filter(8).shape
+    for pos in (0, n_samples - 1, min(n_samples, s * (taps - 1)) // 2):
+        layout, by_id, picked = short_step(small_records, 3, n_samples)
+        picked[1].samples[pos] = bad
+        with pytest.raises(InvalidArgumentError, match="signal contains non-finite samples"):
+            pipeline._step_matrix(layout, by_id, 8)
+
+
+@pytest.mark.parametrize("n_samples", [4096, 777])
+def test_step_matrix_keeps_overflowing_features_of_finite_records(small_records, n_samples):
+    layout, by_id, picked = short_step(small_records, 3, n_samples)
+    for sign, rec in zip((1.0, -1.0, 1.0), picked):
+        rec.samples[:] = sign * 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fm = pipeline._step_matrix(layout, by_id, 8)
+        want = [two_copy_features(rec.samples, 8) for rec in picked]
+    assert not np.all(np.isfinite(fm.values))
+    np.testing.assert_array_equal(fm.values, want)
 
 
 def test_step_matrix_mixed_lengths_name_both_shapes(small_records):

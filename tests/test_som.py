@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from aubase import _kernels, ds2l, som
 from aubase.errors import InvalidArgumentError
+from util import bmu, bmu_indices
 
 
 def quantization_error(model: som.SomModel, data: np.ndarray) -> float:
@@ -129,7 +130,7 @@ def test_lattice_distance_euclidean():
 def test_bmu_matches_exhaustive_search():
     model = som.init_som((4, 4), blob_data(8, dim=3), mode="random", seed=1)
     data = blob_data(9, n=25, dim=3)
-    got = som.bmu_indices(model, data)
+    got = bmu_indices(model, data)
     for i, x in enumerate(data):
         dists = [float(np.sum((x - w) ** 2)) for w in model.weights]
         assert got[i] == int(np.argmin(dists))
@@ -138,7 +139,7 @@ def test_bmu_matches_exhaustive_search():
 def test_bmu_tie_breaks_to_lower_index():
     weights = np.array([[1.0, 0.0], [1.0, 0.0], [5.0, 5.0], [1.0, 0.0]])
     model = som.SomModel(grid=(2, 2), weights=weights, unit_pos=som._lattice_positions((2, 2)))
-    assert som.bmu(model, np.array([1.0, 0.0])) == 0
+    assert bmu(model, np.array([1.0, 0.0])) == 0
 
 
 def test_bmu_pair_distinct_units():
@@ -182,7 +183,7 @@ def test_two_points_on_two_units():
     pts = np.array([[0.0, 0.0], [10.0, 0.0]])
     model = som.init_som((1, 2), pts, mode="linear")
     trained = som.train(model, pts, epochs=30)
-    assigned = sorted(som.bmu_indices(trained, pts).tolist())
+    assigned = sorted(bmu_indices(trained, pts).tolist())
     assert assigned == [0, 1]
     gap = np.linalg.norm(pts[1] - pts[0])
     for x in pts:
@@ -206,7 +207,7 @@ def test_train_trace_matches_per_epoch_quantization_error():
     work = model
     for epoch in range(12):
         kmat = kernel(work, som.lambda_schedule(model, epoch, 12))
-        kb = kmat[:, som.bmu_indices(work, data)]
+        kb = kmat[:, bmu_indices(work, data)]
         denom = kb.sum(axis=1)
         weights = work.weights.copy()
         weights[denom > 0.0] = (kb @ data)[denom > 0.0] / denom[denom > 0.0, None]

@@ -8,11 +8,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aubase
 from aubase import _kernels, wavelet
 from aubase.errors import InvalidArgumentError
-from util import make_toneburst
+from util import make_toneburst, two_copy_features
 
 
 def naive_level(x, h, g):
@@ -387,10 +388,87 @@ def test_extract_features_block_rows_bitwise_equal_single_signal(rows):
             assert np.array_equal(wavelet.extract_features(block[order], level), got[order])
 
 
+@st.composite
+def feature_inputs(draw):
+    """(level, records, form): 1-6 records of one length n in 2..5,000,
+    with lengths of one full chunk, multiples of the chunk and lengths
+    shorter than the periodic head drawn on purpose."""
+    level = draw(st.integers(1, 8))
+    s, taps = wavelet._polyphase_filter(level).shape
+    tail = s * (taps - 1)
+    n = draw(st.one_of(
+        st.integers(2, 5000),
+        st.integers(s, 2 * s - 1),
+        st.integers(2, min(tail, 5000) - 1),
+        st.integers(1, 5000 // s).map(lambda k: k * s),
+    ))
+    form = draw(st.sampled_from(["1-D", "2-D", "list"]))
+    rows = 1 if form == "1-D" else draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = rng.normal(size=(rows, n)) * 10.0 ** draw(st.integers(-3, 3))
+    return level, records, form
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(feature_inputs())
+def test_extract_features_bitwise_equal_two_copy_form(args):
+    # each record, read in place, keeps the bits of the form that copied it
+    # into a zero-padded array and then into a periodically extended one
+    level, records, form = args
+    x = {"1-D": records[0], "2-D": records, "list": [r.copy() for r in records]}[form]
+    got = wavelet.extract_features(x, level)
+    assert got.ndim == (1 if form == "1-D" else 2)
+    for row, rec in zip(np.atleast_2d(got), records):
+        assert row.tobytes() == two_copy_features(rec, level).tobytes()
+        assert row.tobytes() == wavelet.extract_features(rec, level).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [4096, 777])
+def test_extract_features_refuses_non_finite_sample(n, bad):
+    # at level 8, 4,096 samples need no pad and 777 are padded; the head
+    # position lies in the periodic extension, which wraps the 777-sample
+    # record
+    level = 8
+    s, taps = wavelet._polyphase_filter(level).shape
+    rng = np.random.default_rng(n)
+    for pos in (0, n - 1, min(n, s * (taps - 1)) // 2):
+        block = rng.normal(size=(3, n))
+        block[1, pos] = bad
+        for x in (block, list(block), block[1]):
+            with pytest.raises(InvalidArgumentError, match="signal contains non-finite samples"):
+                wavelet.extract_features(x, level)
+
+
+@pytest.mark.parametrize("n", [4096, 777])
+def test_extract_features_keeps_overflowing_features_of_finite_records(n):
+    # the features of constant 1e308 records overflow; the records are
+    # finite, so they are featured, not refused
+    block = np.full((2, n), 1e308)
+    block[1] *= -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = wavelet.extract_features(list(block), 8)
+        want = [two_copy_features(r, 8) for r in block]
+    assert not np.all(np.isfinite(got))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_extract_features_list_records_share_one_length():
+    with pytest.raises(InvalidArgumentError, match="one sample length"):
+        wavelet.extract_features([np.ones(64), np.ones(65)], 3)
+    with pytest.raises(InvalidArgumentError):
+        wavelet.extract_features([np.ones(64), np.ones(0)], 3)
+    with pytest.raises(InvalidArgumentError, match="level must be >= 1"):
+        wavelet.extract_features([np.ones(64)], 0)
+
+
 def features_digest() -> str:
     rng = np.random.default_rng(64)
     block = rng.normal(size=(64, 4096))
-    feats = [wavelet.extract_features(block, level) for level in (1, 4, 8)]
+    records = [r.copy() for r in block[:, :3000]]
+    feats = [wavelet.extract_features(x, level)
+             for level in (1, 4, 8) for x in (block, records)]
     return hashlib.sha256(b"".join(f.tobytes() for f in feats)).hexdigest()
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from aubase import pca, pipeline, signals, som
+from aubase import _kernels, pca, pipeline, signals, wavelet
 
 
 def best_agreement(truth, predicted) -> float:
@@ -45,12 +45,38 @@ def make_toneburst(carrier_freq_hz, n_cycles, amplitude, sample_rate_hz) -> np.n
     return signals._burst_at(t, carrier_freq_hz, n_cycles, amplitude)
 
 
+def bmu_indices(model, data) -> np.ndarray:
+    """Best-matching unit per row of data; ties go to the lowest unit index."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    return np.argmin(_kernels.pairwise_sqdist(data, model.weights), axis=1)
+
+
+def bmu(model, x) -> int:
+    return int(bmu_indices(model, x)[0])
+
+
+def two_copy_features(x, level):
+    """The level-`level` features as the two-copy form computed them: the
+    zero-padded record, then its periodic extension, each a new array,
+    through the same product and fixed-order diagonal sum."""
+    phases = wavelet._polyphase_filter(level)
+    s, taps = phases.shape
+    x = np.concatenate([x, np.zeros(-x.size % s)])
+    n, m = x.size, x.size // s
+    head = np.take(x, np.arange(s * (taps - 1)) % n)
+    y = np.concatenate([x, head]).reshape(m + taps - 1, s) @ phases
+    out = y[:m, 0].copy()
+    for p in range(1, taps):
+        out += y[p:p + m, p]
+    return out
+
+
 def score_row_oracle(sm, feature_row):
     """(selection, scored cluster, SPE, normalized SPE) of one row of step
     model sm, scored on its own: the one-row BMU search, np.linalg.norm for
     the q.e. and the mode distances, and pca.spe for the SPE."""
     row = np.asarray(feature_row, dtype=float).ravel()
-    unit = som.bmu(sm.map, row)
+    unit = bmu(sm.map, row)
     qe = float(np.linalg.norm(row - sm.map.weights[unit]))
     cid = int(sm.partition.unit_label[unit])
     modeled = cid >= 0 and sm.clusters[cid].model is not None
