@@ -34,16 +34,15 @@ stacked one-row products: a row gets the same bits alone and in any batch.
 
 The steps share nothing until the SPE vectors are assembled, so their work
 (level choice, features, map fit and cluster PCA in training; features in
-detection) runs on a thread pool, one thread per usable core, when every
-step holds at least POOL_MIN_RECORDS records; smaller calls run the steps
-inline. The results are collected in step order, so no output depends on
-the pool.
+detection) runs on the step pool (_kernels._map_steps), one thread per
+usable core, when every step holds at least _kernels.POOL_MIN_RECORDS
+records; smaller calls run the steps inline. The results are collected in
+step order, so no output depends on the pool.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, fields
 
@@ -62,19 +61,10 @@ from .errors import (
 from .fusion import FeatureMatrix, apply_scaling, build_step_layouts
 
 QUANTILE = 0.95
-# Records per block for level selection, and the unit of POOL_MIN_RECORDS.
-# A block amortizes the per-call overhead of the cascade over its rows;
-# blocks of 64 rows were no faster than blocks of 4. The step pool below
-# works on whole steps.
+# Records per block for level selection. A block amortizes the per-call
+# overhead of the cascade over its rows; blocks of 64 rows were no faster
+# than blocks of 4. The step pool (_kernels._map_steps) works on whole steps.
 BLOCK_ROWS = 4
-# Threads for the per-step work: one per core this process may run on.
-STEP_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-# Fewest records per step for which the steps go to a thread pool. Small
-# calls are mostly interpreter work, which the threads only take turns at:
-# on the pool, one-experiment detect calls on a 2-transducer bank took a
-# median 13.5 ms against 6.8 ms inline. So they run their steps inline.
-POOL_MIN_RECORDS = 64 * BLOCK_ROWS
 
 
 @dataclass
@@ -220,22 +210,6 @@ def _blocks(layout, by_id: dict, experiments):
         yield np.stack(samples[start:start + BLOCK_ROWS])
 
 
-def _map_steps(fn, steps, records_per_step: float) -> list:
-    """[fn(step) for step in steps], run on a pool of min(len(steps),
-    STEP_WORKERS) threads when each step holds at least POOL_MIN_RECORDS
-    records. The results come back in step order, and the first failing
-    step, in step order, raises, as in the inline loop."""
-    steps = list(steps)
-    workers = min(len(steps), STEP_WORKERS)
-    if workers < 2 or records_per_step < POOL_MIN_RECORDS:
-        return [fn(step) for step in steps]
-    # imported here: most processes never start a pool
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, steps))
-
-
 def _modal_level(blocks, config: PipelineConfig) -> int:
     votes = Counter()
     for block in blocks:
@@ -321,7 +295,7 @@ def _fit_bank(records, config: PipelineConfig | None):
     train_idx, val_idx = _split_indices(len(ref_keys), config.train_frac, config.seed)
     by_id = {r.id: r for r in records}
 
-    fits = _map_steps(
+    fits = _kernels._map_steps(
         lambda si: _fit_step(layouts[step_ids[si]], by_id, train_idx, config, si),
         range(len(step_ids)),
         len(records) / len(step_ids),
@@ -561,7 +535,7 @@ def _experiment_rows(bank: BaselineBank, records):
                 f"the bank ({bank.steps[s].sensor_ids})"
             )
     by_id = {r.id: r for r in records}
-    fms = _map_steps(
+    fms = _kernels._map_steps(
         lambda s: _step_matrix(layouts[s], by_id, bank.steps[s].level),
         bank.step_ids,
         len(records) / len(layouts),

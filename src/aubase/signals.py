@@ -15,7 +15,11 @@ event, not to the record: `generate_dataset` computes one echo train per
 event and copies it to each of the event's sensors, which then add their
 own damage echo and noise.  That is the arithmetic `synthesize` does for
 one record, on the same arrays and generators, so the samples are bitwise
-those of a per-record loop.
+those of a per-record loop.  The actuation steps share nothing, so on
+scenarios of at least _kernels.POOL_MIN_RECORDS records per step they are
+made on the step pool, one task per actuator.  The noise is drawn as
+sigma * standard_normal, the bits of normal(0, sigma), because that draw
+releases the GIL and normal(0, sigma) does not.
 
 Datasets round-trip through a JSON manifest (a flat array of record rows)
 plus one headerless single-column CSV of samples per record.
@@ -31,6 +35,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     FIELD_KINDS,
     NON_NEGATIVE,
@@ -295,7 +300,7 @@ def _finish_record(
         return clean
     rms = float(np.sqrt(np.mean(clean * clean)))
     sigma = rms * 10.0 ** (-snr / 20.0)
-    return clean + rng.normal(0.0, sigma, config.n_samples)
+    return clean + sigma * rng.standard_normal(config.n_samples)
 
 
 def _iter_record_specs(config: ScenarioConfig):
@@ -362,7 +367,8 @@ def generate_dataset(config: ScenarioConfig) -> list:
     dataset, and noise from the record's own generator (child i of the
     scenario seed for spec i).  These are the arrays, operations and
     generators `synthesize` uses for the record, so every sample is bitwise
-    what a per-record `synthesize` loop gives.
+    what a per-record `synthesize` loop gives.  Each actuator's events are
+    one step-pool task, which calls no public function and writes by index.
     """
     _validate_config(config)
     specs = list(_iter_record_specs(config))
@@ -373,14 +379,20 @@ def generate_dataset(config: ScenarioConfig) -> list:
     tids = range(1, config.n_transducers + 1)
     weights = {(a, s): damage_path_weight(config, a, s) for a in tids for s in tids if a != s}
     samples = [None] * len(specs)
-    for event, indices in events.items():
-        actuator, temp, _state, sev, _rep = event
-        train = _echo_train(config, temp + jitter[event])
-        for i in indices:
-            samples[i] = _finish_record(
-                config, train.copy(), sev, weights[actuator, specs[i][1]], damage_burst,
-                np.random.default_rng(children[i]),
-            )
+
+    def make_step(step):
+        for event, indices in events.items():
+            actuator, temp, _state, sev, _rep = event
+            if actuator != step:
+                continue
+            train = _echo_train(config, temp + jitter[event])
+            for i in indices:
+                samples[i] = _finish_record(
+                    config, train.copy(), sev, weights[actuator, specs[i][1]],
+                    damage_burst, np.random.default_rng(children[i]),
+                )
+
+    _kernels._map_steps(make_step, tids, len(specs) / config.n_transducers)
     return [
         SignalRecord(
             id=_record_id(actuator, sensor, temp, state, sev, rep),

@@ -842,8 +842,8 @@ def test_second_level_log1p_matches_per_row_form(small_bank, damage_records, mon
 
 def pool_on(monkeypatch, workers):
     """Send every call's steps to a pool of `workers` threads (1 runs inline)."""
-    monkeypatch.setattr(pipeline, "POOL_MIN_RECORDS", 0)
-    monkeypatch.setattr(pipeline, "STEP_WORKERS", workers)
+    monkeypatch.setattr(_kernels, "POOL_MIN_RECORDS", 0)
+    monkeypatch.setattr(_kernels, "STEP_WORKERS", workers)
 
 
 def four_step_records():
@@ -899,8 +899,8 @@ def pooled_bank_hash() -> str:
     """Bank hash of the small scenario fitted with the step pool on."""
     from conftest import small_scenario
 
-    pipeline.POOL_MIN_RECORDS = 0
-    pipeline.STEP_WORKERS = 2
+    _kernels.POOL_MIN_RECORDS = 0
+    _kernels.STEP_WORKERS = 2
     bank = pipeline.train_phase1(signals.generate_dataset(small_scenario()),
                                  pipeline.PipelineConfig(seed=0))
     return store.bank_hash(bank)
@@ -930,7 +930,7 @@ def test_step_pool_keeps_step_order(monkeypatch):
         done.append(step)
         return step * 10
 
-    assert pipeline._map_steps(work, range(4), 0) == [0, 10, 20, 30]
+    assert _kernels._map_steps(work, range(4), 0) == [0, 10, 20, 30]
     assert done != [0, 1, 2, 3]
 
 
@@ -954,12 +954,12 @@ def test_one_experiment_detect_starts_no_pool(small_bank, damage_records, monkey
             raise AssertionError("a thread pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
-    monkeypatch.setattr(pipeline, "STEP_WORKERS", 2)
+    monkeypatch.setattr(_kernels, "STEP_WORKERS", 2)
     one = experiment_records(damage_records, [fusion.build_step_layouts(
         damage_records)[1].experiments[0].key])
     report = pipeline.detect(small_bank, one)
     assert len(report.results) == 1
     # the patch is live: with the gate lowered, the same call reaches it
-    monkeypatch.setattr(pipeline, "POOL_MIN_RECORDS", 0)
+    monkeypatch.setattr(_kernels, "POOL_MIN_RECORDS", 0)
     with pytest.raises(AssertionError, match="thread pool"):
         pipeline.detect(small_bank, one)

@@ -1,13 +1,15 @@
 """Synthetic toneburst generator and dataset round-tripping."""
+import concurrent.futures
 import dataclasses
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from aubase import signals
+from aubase import _kernels, signals
 from aubase.errors import DataFormatError, InvalidArgumentError
 from util import make_toneburst
 
@@ -317,18 +319,115 @@ ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("kw", list(ORACLE_CASES.values()), ids=list(ORACLE_CASES))
-def test_generate_dataset_matches_per_record_synthesis(kw):
-    cfg = tiny_config(
+def oracle_config(kw) -> signals.ScenarioConfig:
+    return tiny_config(
         temperatures_c=[35.0, 45.0, 55.0], n_repeats=3, n_samples=1024,
         echoes=[(100e-6, 1.0), (300e-6, 0.5)], damage_echo=(200e-6, 0.6),
         temp_stretch_per_c=5e-3, **kw,
     )
+
+
+@pytest.mark.parametrize("kw", list(ORACLE_CASES.values()), ids=list(ORACLE_CASES))
+def test_generate_dataset_matches_per_record_synthesis(kw):
+    cfg = oracle_config(kw)
     got = signals.generate_dataset(cfg)
     want = per_record_dataset(cfg)
     assert [r.id for r in got] == [rid for rid, _ in want]
     for rec, (_rid, x) in zip(got, want):
         assert rec.samples.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("snr_db, sigma_kind", [
+    (1e4, "zero"),  # sigma underflows to 0.0; negative draws give -0.0 noise
+    (6200.0, "subnormal"),
+    (60.0, "normal"),  # the reference scenario's SNR
+])
+def test_synthesize_noise_is_a_normal_draw_of_the_record_generator(snr_db, sigma_kind):
+    # independent of _finish_record: the echo train, the path-weighted damage
+    # echo, then Generator.normal(0, sigma) on the record's own generator
+    cfg = tiny_config(noise_snr_db=snr_db, n_samples=1024, damage_echo=(200e-6, 0.6))
+    cases = [(1, 2, 35.0, 0.0), (2, 1, 45.0, 0.0), (1, 2, 35.0, 2.0), (2, 1, 40.3, 1.5)]
+    children = np.random.SeedSequence(cfg.seed).spawn(len(cases))
+    for (actuator, sensor, temp, sev), child in zip(cases, children):
+        clean = signals._echo_train(cfg, temp)
+        if sev > 0.0:
+            weight = signals.damage_path_weight(cfg, actuator, sensor)
+            clean += sev * cfg.damage_echo[1] * weight * signals._damage_burst(cfg)
+        sigma = float(np.sqrt(np.mean(clean * clean))) * 10.0 ** (-snr_db / 20.0)
+        kind = ("zero" if sigma == 0.0 else
+                "subnormal" if sigma < np.finfo(float).tiny else "normal")
+        assert kind == sigma_kind
+        want = clean + np.random.default_rng(child).normal(0.0, sigma, cfg.n_samples)
+        got = signals.synthesize(cfg, actuator, sensor, temp, sev,
+                                 np.random.default_rng(child))
+        assert got.tobytes() == want.tobytes()
+
+
+def pooled_dataset(monkeypatch, cfg, workers):
+    """generate_dataset(cfg) with the step pool forced on for `workers`
+    threads; also returns the pool sizes started."""
+    started = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+        mp.setattr(_kernels, "POOL_MIN_RECORDS", 0)
+        mp.setattr(_kernels, "STEP_WORKERS", workers)
+        return signals.generate_dataset(cfg), started
+
+
+def assert_same_records(got, want):
+    assert [r.id for r in got] == [r.id for r in want]
+    for a, b in zip(got, want):
+        assert a.samples.tobytes() == b.samples.tobytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kw", list(ORACLE_CASES.values()), ids=list(ORACLE_CASES))
+def test_generate_dataset_same_bytes_on_the_step_pool(kw, workers, monkeypatch):
+    # the 3-transducer case splits 3 steps over 2 workers
+    cfg = oracle_config(kw)
+    monkeypatch.setattr(_kernels, "STEP_WORKERS", 1)
+    inline = signals.generate_dataset(cfg)
+    pooled, started = pooled_dataset(monkeypatch, cfg, workers)
+    assert started == [min(workers, cfg.n_transducers)]
+    assert_same_records(pooled, inline)
+
+
+def test_generate_dataset_step_pool_stress_switching(monkeypatch):
+    # switching threads every microsecond: a record written to the wrong
+    # index, or made from another event's echo train, would move its bytes
+    cfg = oracle_config(ORACLE_CASES["4-transducers-noisy"])
+    inline = signals.generate_dataset(cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled, started = pooled_dataset(monkeypatch, cfg, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert started == [4]
+    assert_same_records(pooled, inline)
+
+
+def test_small_scenario_generation_starts_no_pool(monkeypatch):
+    # the 2-transducer reference-physics baselines: 180 records per step,
+    # under POOL_MIN_RECORDS, so they are made inline
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+    cfg = dataclasses.replace(signals.reference_scenario(seed=1), n_transducers=2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(_kernels, "STEP_WORKERS", 2)
+    assert len(signals.generate_dataset(cfg)) == 360
+    # the patch is live: with the gate lowered, the same call reaches it
+    monkeypatch.setattr(_kernels, "POOL_MIN_RECORDS", 0)
+    with pytest.raises(AssertionError, match="thread pool"):
+        signals.generate_dataset(cfg)
 
 
 # ---------------------------------------------------------------------------
