@@ -83,11 +83,12 @@ def _manifest_path(data: str) -> str:
     return path
 
 
-def _load_dataset(manifest_path: str) -> tuple:
+def _load_dataset(manifest_path: str, state: str | None = None) -> tuple:
     """(records, one digest covering the manifest and every sample file),
-    the digest taken over the very bytes the records were parsed from."""
+    the digest taken over the bytes each file was read as, once. With state
+    given, only that state's records are parsed (`signals.load_dataset`)."""
     digest = hashlib.sha256()
-    records = signals.load_dataset(manifest_path, digest=digest)
+    records = signals.load_dataset(manifest_path, digest=digest, state=state)
     return records, digest.hexdigest()
 
 
@@ -171,7 +172,7 @@ def _cmd_generate(args, argv) -> int:
 def _cmd_train(args, argv) -> int:
     manifest = _manifest_path(args.data)
     config = _load_pipeline_config(args.config, args.seed)
-    records, data_digest = _load_dataset(manifest)
+    records, data_digest = _load_dataset(manifest, state="baseline")
     bank = pipeline.train_phase1(_split_baseline(records), config)
     os.makedirs(args.out, exist_ok=True)
     store.save_bank(bank, args.out)

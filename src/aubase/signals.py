@@ -22,7 +22,10 @@ sigma * standard_normal, the bits of normal(0, sigma), because that draw
 releases the GIL and normal(0, sigma) does not.
 
 Datasets round-trip through a JSON manifest (a flat array of record rows)
-plus one headerless single-column CSV of samples per record.
+plus one headerless single-column CSV of samples per record.  Loading reads
+every file once and can feed a digest with the bytes read; it parses only
+the sample files of the records asked for, so training parses no damage
+record, yet its digest still covers every file.
 """
 
 from __future__ import annotations
@@ -450,13 +453,16 @@ def _read(path: str, digest, name: str | None = None) -> str:
     return raw.decode()
 
 
-def _parse_samples(base: str, rel_path: str, rec_id: str, digest) -> np.ndarray:
+def _read_samples(base: str, rel_path: str, rec_id: str, digest) -> str:
     try:
-        text = _read(os.path.join(base, rel_path), digest, rel_path)
+        return _read(os.path.join(base, rel_path), digest, rel_path)
     except OSError as exc:
         raise DataFormatError(f"record {rec_id}: cannot read sample file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"record {rec_id}: sample file is not UTF-8: {exc}") from exc
+
+
+def _parse_samples(text: str, rec_id: str) -> np.ndarray:
     tokens = text.split()
     try:
         samples = np.array(tokens, dtype=float)
@@ -478,13 +484,15 @@ def _is_float(tok: str) -> bool:
         return False
 
 
-def load_dataset(manifest_path: str, digest=None) -> list:
+def load_dataset(manifest_path: str, digest=None, state: str | None = None) -> list:
     """Read a manifest and every referenced sample file, validating both.
 
-    Each file is read once. When digest (a hashlib object) is given, it is
-    fed hashes of the very bytes that were parsed: the manifest's sha256 hex
+    Each file is read once and UTF-8-decoded. When digest (a hashlib object)
+    is given, it is fed hashes of the bytes read: the manifest's sha256 hex
     digest, then each sample file's manifest path and sha256 hex digest, in
-    manifest order.
+    manifest order. With state given, only the records of that state have
+    their samples parsed and checked; every other record is still read,
+    decoded and digested, and comes back with samples None.
     """
     try:
         doc = json.loads(_read(manifest_path, digest))
@@ -511,9 +519,12 @@ def load_dataset(manifest_path: str, digest=None) -> list:
                 raise DataFormatError(
                     f"record {rec_id}: {key} must be {kind}, got {row[key]!r}"
                 )
-        if not isinstance(row["path"], str) or not row["path"]:
-            raise DataFormatError(f"record {rec_id}: path must be a nonempty string")
-        samples = _parse_samples(base, row["path"], rec_id, digest)
+        if not isinstance(row["path"], str) or not row["path"] or "\0" in row["path"]:
+            raise DataFormatError(
+                f"record {rec_id}: path must be a nonempty string without NUL bytes"
+            )
+        text = _read_samples(base, row["path"], rec_id, digest)
+        samples = _parse_samples(text, rec_id) if state in (None, row["state"]) else None
         records.append(
             SignalRecord(
                 id=rec_id,
@@ -531,11 +542,12 @@ def load_dataset(manifest_path: str, digest=None) -> list:
     if len(set(ids)) != len(ids):
         dupe = next(v for v in ids if ids.count(v) > 1)
         raise DataFormatError(f"duplicate record id {dupe!r} in manifest")
-    lengths = {r.samples.size for r in records}
-    if len(lengths) > 1:
+    parsed = [r for r in records if r.samples is not None]
+    odd = next((r for r in parsed if r.samples.size != parsed[0].samples.size), None)
+    if odd is not None:
         raise DataFormatError(
-            f"records disagree on sample count ({sorted(lengths)}); "
-            "a file is truncated or the dataset is mixed"
+            f"record {odd.id}: {odd.samples.size} samples, but record {parsed[0].id} "
+            f"has {parsed[0].samples.size}; a file is truncated or the dataset is mixed"
         )
     return records
 

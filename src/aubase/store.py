@@ -71,11 +71,11 @@ def write_json(path: str, obj) -> None:
 
 def read_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -3,11 +3,14 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aubase
 from aubase import cli, pca, pipeline, signals, store
@@ -450,6 +453,7 @@ MANIFEST_CASES = {
     "temperature-nan": ("temperature_c", math.nan),
     "temperature-inf": ("temperature_c", math.inf),
     "actuator-bool": ("actuator_id", True),
+    "path-nul": ("path", "signals/x\u0000.csv"),
 }
 
 
@@ -522,7 +526,8 @@ def parent_dataset_digest(manifest):
 
 
 def test_dataset_digest_covers_the_parsed_bytes(workflow, tmp_path, monkeypatch):
-    # each sample file is read once: its digest comes from the bytes parsed
+    # each sample file is read once: its digest comes from the bytes read,
+    # parsed or not
     data, bank = workflow[2], workflow[3]
     manifest = os.path.join(data, "manifest.json")
     want = parent_dataset_digest(manifest)
@@ -544,18 +549,157 @@ def test_dataset_digest_covers_the_parsed_bytes(workflow, tmp_path, monkeypatch)
         assert store.read_json(str(out / "run.json"))["inputs"][manifest] == want
 
 
-@pytest.mark.parametrize("victim", ["manifest", "sample"])
+def first_damage_row(rows):
+    return next(row for row in rows if row["state"] == "damage")
+
+
+@pytest.mark.parametrize("victim", ["manifest", "sample", "damage"])
 def test_non_utf8_dataset_file_exits_one(workflow, tmp_path, capsys, victim):
+    # train parses no damage record, but still reads and decodes its file
     data = tmp_path / "data"
     shutil.copytree(workflow[2], data)
     rows = store.read_json(str(data / "manifest.json"))
-    path = data / ("manifest.json" if victim == "manifest" else rows[0]["path"])
+    row = first_damage_row(rows) if victim == "damage" else rows[0]
+    path = data / ("manifest.json" if victim == "manifest" else row["path"])
     path.write_bytes(b"0.5\n\xff\xfe\n")
-    assert cli.main(["detect", "--bank", workflow[3], "--data", str(data),
-                     "--out", str(tmp_path / "r")]) == 1
+    argv = (["train", "--data", str(data)] if victim == "damage"
+            else ["detect", "--bank", workflow[3], "--data", str(data)])
+    assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
-    assert ("manifest" if victim == "manifest" else rows[0]["id"]) in err
+    assert ("manifest" if victim == "manifest" else row["id"]) in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "entry", ["train-config", "generate-scenario", "evaluate-report", "bank-detect",
+              "bank-export"])
+def test_non_utf8_json_input_exits_one(workflow, tmp_path, capsys, entry):
+    data, bank = workflow[2], workflow[3]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"seed": 1}\xff\n')
+    edited = tmp_path / "bank"
+    shutil.copytree(bank, edited)
+    (edited / "index.json").write_bytes(b"\xff")
+    out = tmp_path / "out"
+    argv = {
+        "train-config": ["train", "--data", data, "--config", str(bad)],
+        "generate-scenario": ["generate", "--scenario", str(bad)],
+        "evaluate-report": ["evaluate", "--report", str(bad)],
+        "bank-detect": ["detect", "--bank", str(edited), "--data", data],
+        "bank-export": ["export-umatrix", "--bank", str(edited)],
+    }[entry]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert "data-format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_parses_only_baseline_records(workflow, tmp_path, monkeypatch):
+    data, bank = workflow[2], workflow[3]
+    rows = store.read_json(os.path.join(data, "manifest.json"))
+    parsed = []
+    real = signals._parse_samples
+
+    def spy(text, rec_id):
+        parsed.append(rec_id)
+        return real(text, rec_id)
+
+    monkeypatch.setattr(signals, "_parse_samples", spy)
+    assert cli.main(["train", "--data", data, "--out", str(tmp_path / "b")]) == 0
+    assert parsed == [row["id"] for row in rows if row["state"] == "baseline"]
+    parsed.clear()
+    assert cli.main(["detect", "--bank", bank, "--data", data,
+                     "--out", str(tmp_path / "r")]) == 0
+    assert parsed == [row["id"] for row in rows]
+
+
+def mutate_sample_file(path, edit):
+    """Rewrite one sample file: a bad token, a non-finite value, a truncated
+    body (the first half of the rows), an empty file or a trailing 0xff."""
+    if edit == "append-ff":
+        path.write_bytes(path.read_bytes() + b"\xff")
+        return
+    lines = path.read_text().splitlines()
+    if edit == "bad-token":
+        lines[10] = "0.5x"
+    elif edit == "nan":
+        lines[10] = "nan"
+    elif edit == "truncate":
+        lines = lines[: len(lines) // 2]
+    elif edit == "empty":
+        lines = []
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("edit", ["bad-token", "nan", "truncate"])
+def test_train_ignores_malformed_damage_sample_detect_refuses(workflow, tmp_path, capsys,
+                                                              edit):
+    # a bank from these records is the clean bank; detect parses every record
+    data, bank = tmp_path / "data", workflow[3]
+    shutil.copytree(workflow[2], data)
+    row = first_damage_row(store.read_json(str(data / "manifest.json")))
+    mutate_sample_file(data / row["path"], edit)
+    capsys.readouterr()
+    out = tmp_path / "b"
+    assert cli.main(["train", "--data", str(data), "--out", str(out), "--seed", "2"]) == 0
+    assert "ignoring 8 non-baseline records" in capsys.readouterr().out
+    assert tree_digest(out) == tree_digest(bank)
+    rep = tmp_path / "r"
+    assert cli.main(["detect", "--bank", bank, "--data", str(data), "--out", str(rep)]) == 1
+    err = capsys.readouterr().err
+    assert "data-format" in err and row["id"] in err
+    assert not rep.exists()
+
+
+def test_train_refuses_missing_damage_file(workflow, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workflow[2], data)
+    row = first_damage_row(store.read_json(str(data / "manifest.json")))
+    os.remove(data / row["path"])
+    out = tmp_path / "b"
+    assert cli.main(["train", "--data", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot read sample file" in err and row["id"] in err
+    assert not out.exists()
+
+
+DATASET_EDITS = ["truncate", "append-ff", "bad-token", "nan", "empty", "state"]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(edit=st.sampled_from(DATASET_EDITS), index=st.integers(0, 23))
+def test_mutated_dataset_exits_zero_or_one(workflow, edit, index):
+    # one manifest row or one sample file is mutated; train and detect
+    # either succeed or refuse it with exit 1 and write nothing
+    clean, bank = workflow[2], workflow[3]
+    with tempfile.TemporaryDirectory() as root:
+        data = os.path.join(root, "data")
+        shutil.copytree(clean, data)
+        manifest = os.path.join(data, "manifest.json")
+        rows = store.read_json(manifest)
+        row = rows[index]
+        if edit == "state":
+            row["state"] = "damage" if row["state"] == "baseline" else "baseline"
+            store.write_json(manifest, rows)
+        else:
+            mutate_sample_file(pathlib.Path(data, row["path"]), edit)
+        codes = {}
+        for command, argv in (
+            ("train", ["train", "--data", data, "--seed", "2"]),
+            ("detect", ["detect", "--bank", bank, "--data", data]),
+        ):
+            out = os.path.join(root, command)
+            codes[command] = cli.main(argv + ["--out", out])
+            assert codes[command] in (0, 1), (command, edit, index)
+            if codes[command] == 1:
+                assert not os.path.exists(out), (command, edit, index)
+        if edit == "state":
+            return
+        assert codes["detect"] == 1
+        if row["state"] == "damage":  # read and digested, not parsed
+            assert codes["train"] == (1 if edit == "append-ff" else 0)
+            if codes["train"] == 0:
+                assert tree_digest(os.path.join(root, "train")) == tree_digest(bank)
 
 
 def test_train_refuses_step_without_modeled_cluster(workflow, tmp_path, capsys, monkeypatch):

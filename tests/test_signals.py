@@ -481,6 +481,24 @@ def test_load_truncated_sample_file_rejected(tmp_path):
         signals.load_dataset(manifest)
 
 
+def test_load_dataset_state_parses_only_that_state(tmp_path):
+    # the other state's files are read, not parsed
+    cfg = tiny_config(damage_severities=[1.0], n_repeats=1)
+    manifest = signals.save_dataset(signals.generate_dataset(cfg), str(tmp_path / "d"))
+    rows = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    victim = next(row for row in rows if row["state"] == "damage")
+    (tmp_path / "d" / victim["path"]).write_text("0.5\nnan\n")
+    with pytest.raises(DataFormatError, match=victim["id"]):
+        signals.load_dataset(manifest)
+    loaded = signals.load_dataset(manifest, state="baseline")
+    assert [r.id for r in loaded] == [row["id"] for row in rows]
+    for rec in loaded:
+        if rec.state == "damage":
+            assert rec.samples is None
+        else:
+            assert rec.samples.size == cfg.n_samples
+
+
 def test_scenario_config_round_trip():
     cfg = signals.reference_scenario(seed=3, with_damage=True)
     back = signals.scenario_from_dict(signals.scenario_to_dict(cfg))
