@@ -240,9 +240,9 @@ def _cmd_evaluate(args, argv) -> int:
         raise InvalidArgumentError("report contains no scored experiments")
     try:
         labels = [0 if r["state"] == "baseline" else 1 for r in results]
-        overall = [store.parse_float(r["score"]) for r in results]
+        overall = [float(r["score"]) for r in results]
         step_scores = [
-            (s, [store.parse_float(r["per_step"][str(s)]["normalized"]) for r in results])
+            (s, [float(r["per_step"][str(s)]["normalized"]) for r in results])
             for s in doc["step_ids"]
         ]
     except (KeyError, TypeError, ValueError) as exc:

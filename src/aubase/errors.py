@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the field check that
-config documents go through.
+config documents and bank files go through.
 
 Everything raised on bad user input derives from AubaseError so the CLI can
 map it to exit code 1; anything else is treated as an internal failure.
@@ -82,18 +82,19 @@ POSITIVE = ("> 0", lambda v: v > 0)
 NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 
 
-def check_fields(doc: dict, what: str, kinds: dict, ranges: dict, optional) -> None:
-    """Refuse a config document whose values have the wrong JSON kind
+def check_fields(doc: dict, what: str, kinds: dict, ranges: dict, optional,
+                 error=InvalidArgumentError) -> None:
+    """Raise error for a document whose values have the wrong JSON kind
     (a FIELD_KINDS name per field) or fall outside their (text, test) range.
     Fields named in optional may be null."""
     for key, value in doc.items():
         if value is None and key in optional:
             continue
         if not FIELD_KINDS[kinds[key]](value):
-            raise InvalidArgumentError(
+            raise error(
                 f"{what} field {key!r} must be {kinds[key]}, got {value!r}"
             )
         if key in ranges and not ranges[key][1](value):
-            raise InvalidArgumentError(
+            raise error(
                 f"{what} field {key!r} must be {ranges[key][0]}, got {value!r}"
             )

@@ -12,11 +12,12 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from .ds2l import ClusterPartition
-from .errors import DataFormatError
+from .errors import DataFormatError, check_fields
 from .fusion import ScalingParams
 from .pca import PcaModel
 from .pipeline import (
@@ -28,7 +29,7 @@ from .pipeline import (
     SpeVector,
     StepModel,
 )
-from .som import SomModel
+from .som import SomModel, _lattice_positions
 
 # Bank directories: version 2 hashes the validation vectors too, so a bank
 # saved under version 1 cannot pass the wider check and is refused by version.
@@ -79,14 +80,6 @@ def read_json(path: str):
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def parse_float(value) -> float:
-    if value == "inf":
-        return math.inf
-    if value == "-inf":
-        return -math.inf
-    return float(value)
-
-
 def sha256_file(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -96,159 +89,78 @@ def sha256_file(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# model <-> dict converters
+# bank dataclasses <-> dicts
 # ---------------------------------------------------------------------------
 
-def _som_to_dict(model: SomModel) -> dict:
-    return {
-        "grid": list(model.grid),
-        "weights": model.weights.tolist(),
-        "kernel_form": model.kernel_form,
-        "lambda_start": model.lambda_start,
-        "lambda_end": model.lambda_end,
-        "trained_epochs": model.trained_epochs,
-    }
+# JSON key of each field whose key is not its name, and the fields that are
+# not stored: a map's lattice positions follow from its grid, and a
+# comparison report carries no ROC curves
+_KEYS = {"map": "som", "model": "pca"}
+_SKIP = {"unit_pos", "roc_proposed", "roc_mono"}
+# JSON kind of each scalar field and the grid, checked on load; no bank
+# scalar is ever infinite, so none is saved as "inf"
+_KINDS = {
+    **dict.fromkeys(
+        ("actuator_id", "level", "feature_width", "n_clusters", "n_members", "r",
+         "n_train", "trained_epochs"), "an integer"),
+    **dict.fromkeys(
+        ("rho", "theta", "q95", "spe_threshold", "validation_exceedance", "lambda_start",
+         "lambda_end", "variance_threshold", "temperature_c", "severity"), "a finite number"),
+    **dict.fromkeys(("kernel_form", "key", "state"), "a string"),
+    "grid": "two positive integers",
+}
+_OPTIONAL = {"model", "spe_threshold", "validation_exceedance"}
 
 
-def _som_from_dict(d: dict) -> SomModel:
-    from .som import _lattice_positions
-
-    grid = tuple(d["grid"])
-    return SomModel(
-        grid=grid,
-        weights=np.array(d["weights"], dtype=float),
-        unit_pos=_lattice_positions(grid),
-        kernel_form=d["kernel_form"],
-        lambda_start=d["lambda_start"],
-        lambda_end=d["lambda_end"],
-        trained_epochs=d["trained_epochs"],
-    )
+def _floats(values) -> list:
+    return [float(x) for x in values]  # float() reads "inf" and "-inf"
 
 
-def _partition_to_dict(p: ClusterPartition) -> dict:
-    return {
-        "n_clusters": p.n_clusters,
-        "unit_label": p.unit_label.tolist(),
-        "datum_label": p.datum_label.tolist(),
-        "modes": list(p.modes),
-    }
+# how each field that is not kept as parsed is read back
+_READ = {
+    **dict.fromkeys(("weights", "eigvals", "loadings", "col_means", "group_stds"),
+                    lambda v: np.array(v, dtype=float)),
+    **dict.fromkeys(("unit_label", "datum_label", "col_groups"),
+                    lambda v: np.array(v, dtype=int)),
+    "grid": tuple, "modes": lambda v: [int(u) for u in v], "spe": _floats,
+    "normalized": _floats, "map": SomModel, "partition": ClusterPartition,
+    "model": PcaModel, "scaling": ScalingParams, "clusters": ClusterModel,
+}
 
 
-def _partition_from_dict(d: dict) -> ClusterPartition:
-    return ClusterPartition(
-        n_clusters=d["n_clusters"],
-        unit_label=np.array(d["unit_label"], dtype=int),
-        datum_label=np.array(d["datum_label"], dtype=int),
-        modes=[int(u) for u in d["modes"]],
-    )
+def _encode(obj):
+    """A bank dataclass as a dict of its stored fields, nested ones too;
+    canonical_json turns the arrays, tuples and numpy scalars into JSON."""
+    if is_dataclass(obj):
+        return {_KEYS.get(f.name, f.name): _encode(getattr(obj, f.name))
+                for f in fields(obj) if f.name not in _SKIP}
+    if isinstance(obj, dict):
+        return {str(k): _encode(v) for k, v in obj.items()}
+    return obj
 
 
-def _scaling_to_dict(s: ScalingParams) -> dict:
-    return {
-        "col_means": s.col_means.tolist(),
-        "group_stds": s.group_stds.tolist(),
-        "col_groups": s.col_groups.tolist(),
-    }
-
-
-def _scaling_from_dict(d: dict) -> ScalingParams:
-    return ScalingParams(
-        col_means=np.array(d["col_means"], dtype=float),
-        group_stds=np.array(d["group_stds"], dtype=float),
-        col_groups=np.array(d["col_groups"], dtype=int),
-    )
-
-
-def _pca_to_dict(m: PcaModel) -> dict:
-    return {
-        "eigvals": m.eigvals.tolist(),
-        "loadings": m.loadings.tolist(),
-        "r": m.r,
-        "variance_threshold": m.variance_threshold,
-        "scaling": _scaling_to_dict(m.scaling),
-        "n_train": m.n_train,
-    }
-
-
-def _pca_from_dict(d: dict) -> PcaModel:
-    return PcaModel(
-        eigvals=np.array(d["eigvals"], dtype=float),
-        loadings=np.array(d["loadings"], dtype=float),
-        r=d["r"],
-        variance_threshold=d["variance_threshold"],
-        scaling=_scaling_from_dict(d["scaling"]),
-        n_train=d["n_train"],
-    )
-
-
-def _vector_to_dict(v: SpeVector) -> dict:
-    return {
-        "key": v.key,
-        "temperature_c": v.temperature_c,
-        "state": v.state,
-        "severity": v.severity,
-        "spe": list(v.spe),
-        "novelty": [bool(b) for b in v.novelty],
-        "normalized": list(v.normalized),
-    }
-
-
-def _vector_from_dict(d: dict) -> SpeVector:
-    return SpeVector(
-        key=d["key"],
-        temperature_c=d["temperature_c"],
-        state=d["state"],
-        severity=d["severity"],
-        spe=[float(x) for x in d["spe"]],
-        novelty=[bool(b) for b in d["novelty"]],
-        normalized=[parse_float(x) for x in d["normalized"]],
-    )
-
-
-def _step_to_dict(sm: StepModel) -> dict:
-    return {
-        "actuator_id": sm.actuator_id,
-        "level": sm.level,
-        "sensor_ids": list(sm.sensor_ids),
-        "feature_width": sm.feature_width,
-        "som": _som_to_dict(sm.map),
-        "rho": sm.rho,
-        "theta": sm.theta,
-        "partition": _partition_to_dict(sm.partition),
-        "clusters": {
-            str(cid): {
-                "pca": _pca_to_dict(cm.model) if cm.model is not None else None,
-                "q95": cm.q95,
-                "spe_threshold": cm.spe_threshold,
-                "n_members": cm.n_members,
-            }
-            for cid, cm in sm.clusters.items()
-        },
-        "validation_exceedance": sm.validation_exceedance,
-    }
-
-
-def _step_from_dict(d: dict) -> StepModel:
-    clusters = {}
-    for cid, cd in d["clusters"].items():
-        clusters[int(cid)] = ClusterModel(
-            model=_pca_from_dict(cd["pca"]) if cd["pca"] is not None else None,
-            q95=cd["q95"],
-            spe_threshold=cd["spe_threshold"],
-            n_members=cd["n_members"],
-        )
-    return StepModel(
-        actuator_id=d["actuator_id"],
-        level=d["level"],
-        sensor_ids=list(d["sensor_ids"]),
-        feature_width=d["feature_width"],
-        map=_som_from_dict(d["som"]),
-        rho=d["rho"],
-        theta=d["theta"],
-        partition=_partition_from_dict(d["partition"]),
-        clusters=clusters,
-        validation_exceedance=d["validation_exceedance"],
-    )
+def _decode(cls, doc: dict, where: str):
+    """The cls instance that _encode wrote as doc, refusing a scalar field of
+    the wrong JSON kind by where (its file and place) and its name."""
+    names = [f.name for f in fields(cls) if f.name not in _SKIP]
+    check_fields({n: doc[n] for n in names if n in _KINDS}, where, _KINDS, {}, _OPTIONAL,
+                 DataFormatError)
+    kwargs = {}
+    for name in names:
+        key = _KEYS.get(name, name)
+        value, read = doc[key], _READ.get(name)
+        if read is None or (value is None and name in _OPTIONAL):
+            kwargs[name] = value
+        elif name == "clusters":
+            kwargs[name] = {int(k): _decode(read, v, f"{where} cluster {k}")
+                            for k, v in value.items()}
+        elif is_dataclass(read):
+            kwargs[name] = _decode(read, value, f"{where} {key}")
+        else:
+            kwargs[name] = read(value)
+    if cls is SomModel:
+        kwargs["unit_pos"] = _lattice_positions(kwargs["grid"])
+    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +173,11 @@ def save_bank(bank: BaselineBank, out_dir: str) -> str:
     step_files = {}
     for s in bank.step_ids:
         name = f"step-{s}.json"
-        write_json(os.path.join(out_dir, name), _step_to_dict(bank.steps[s]))
+        write_json(os.path.join(out_dir, name), _encode(bank.steps[s]))
         step_files[str(s)] = name
     write_json(
         os.path.join(out_dir, "validation.json"),
-        {"vectors": [_vector_to_dict(v) for v in bank.validation]},
+        {"vectors": [_encode(v) for v in bank.validation]},
     )
     index = {
         "schema_version": SCHEMA_VERSION,
@@ -293,10 +205,12 @@ def load_bank(bank_dir: str) -> BaselineBank:
         config = PipelineConfig.from_dict(index["config"])
         steps = {}
         for key, name in index["step_files"].items():
-            steps[int(key)] = _step_from_dict(read_json(os.path.join(bank_dir, name)))
+            path = os.path.join(bank_dir, name)
+            steps[int(key)] = _decode(StepModel, read_json(path), f"bank file {path}")
+        path = os.path.join(bank_dir, index["validation_file"])
         validation = [
-            _vector_from_dict(v)
-            for v in read_json(os.path.join(bank_dir, index["validation_file"]))["vectors"]
+            _decode(SpeVector, v, f"bank file {path} vector {i}")
+            for i, v in enumerate(read_json(path)["vectors"])
         ]
         bank = BaselineBank(
             config=config,
@@ -324,10 +238,10 @@ def bank_hash(bank: BaselineBank) -> str:
     and the held-out validation vectors the second-level map reads."""
     doc = {
         "config": bank.config.to_dict(),
-        "steps": {str(s): _step_to_dict(bank.steps[s]) for s in bank.step_ids},
+        "steps": {str(s): _encode(bank.steps[s]) for s in bank.step_ids},
         "train_keys": bank.train_keys,
         "val_keys": sorted(bank.val_keys),
-        "validation": [_vector_to_dict(v) for v in bank.validation],
+        "validation": [_encode(v) for v in bank.validation],
     }
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
@@ -365,21 +279,5 @@ def comparison_report_to_dict(report: ComparisonReport) -> dict:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "summary": report.summary,
-        "steps": [
-            {
-                "step": st.step,
-                "r_mono": st.r_mono,
-                "r_clusters": {str(c): r for c, r in sorted(st.r_clusters.items())},
-                "auc_proposed": st.auc_proposed,
-                "auc_mono": st.auc_mono,
-                "fpr_calibrated_proposed": st.fpr_calibrated_proposed,
-                "fpr_calibrated_mono": st.fpr_calibrated_mono,
-                "fpr_theoretical_mono": st.fpr_theoretical_mono,
-                "fpr_tpr95_proposed": st.fpr_tpr95_proposed,
-                "fpr_tpr95_mono": st.fpr_tpr95_mono,
-                "n_pos": st.n_pos,
-                "n_neg": st.n_neg,
-            }
-            for st in report.steps
-        ],
+        "steps": [_encode(st) for st in report.steps],
     }

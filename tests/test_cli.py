@@ -243,7 +243,7 @@ def test_evaluate_artifacts(workflow):
     summary = store.read_json(os.path.join(ev, "summary.json"))
     assert set(summary["steps"]) == {"1", "2"}
     overall = summary["overall"]
-    assert 0.0 <= store.parse_float(overall["auc"]) <= 1.0
+    assert 0.0 <= float(overall["auc"]) <= 1.0
     assert overall["n_pos"] == 4 and overall["n_neg"] == 8
     for name in ("roc-overall.csv", "roc-step-1.csv", "roc-step-2.csv"):
         path = os.path.join(ev, name)
@@ -328,6 +328,42 @@ def test_detect_refuses_edited_bank(workflow, tmp_path, capsys, edit):
     rc = cli.main(["detect", "--bank", edited, "--data", data, "--out", str(tmp_path / "r")])
     assert rc == 1
     assert "data-format" in capsys.readouterr().err
+
+
+def _first_step(bank):
+    return bank.steps[bank.step_ids[0]]
+
+
+@pytest.mark.parametrize(
+    "name, field, edit",
+    [
+        ("step", "level", lambda b: setattr(_first_step(b), "level", "8")),
+        ("step", "level", lambda b: setattr(_first_step(b), "level", 8.5)),
+        ("step", "theta", lambda b: setattr(_first_step(b), "theta", "x")),
+        ("step", "q95", lambda b: setattr(_first_step(b).clusters[0], "q95", "x")),
+        ("step", "r", lambda b: setattr(next(
+            c.model for c in _first_step(b).clusters.values() if c.model), "r", "2")),
+        ("step", "grid", lambda b: setattr(_first_step(b).map, "grid", (4, "4"))),
+        ("validation", "severity", lambda b: setattr(b.validation[0], "severity", "x")),
+    ],
+    ids=["level-string", "level-fraction", "theta-string", "q95-string", "r-string",
+         "grid-string", "severity-string"],
+)
+def test_detect_refuses_rehashed_bank_with_wrong_kind_field(workflow, tmp_path, capsys,
+                                                            name, field, edit):
+    # model_hash is a digest, not a MAC: an edited bank can carry a fresh one
+    data, bank_dir = workflow[2], workflow[3]
+    bank = store.load_bank(bank_dir)
+    edit(bank)
+    edited = str(tmp_path / "bank")
+    store.save_bank(bank, edited)
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert cli.main(["detect", "--bank", edited, "--data", data, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    where = f"step-{bank.step_ids[0]}.json" if name == "step" else "validation.json"
+    assert "data-format" in err and where in err and f"field {field!r}" in err
+    assert not out.exists()
 
 
 def test_generate_seed_override(tmp_path):
